@@ -21,6 +21,7 @@ from .filtering import (
     method_c_counts,
     method_c_deferred,
     qft,
+    run_filter,
     run_qpe,
 )
 from .spin import (

@@ -27,23 +27,20 @@ import numpy as np
 from . import __version__
 from .errors import CapacityError
 from .filtering import (
+    DEFAULT_SEED,
     DEFAULT_TROTTER_STEPS,
     METHODS,
     FilterOutcome,
-    PathLabel,
     RegisterLayout,
-    SequentialPathSampler,
     layout_for,
-    method_a,
-    method_b,
-    method_c_deferred,
+    method_c_counts,
+    register_bits,
+    run_filter,
 )
-from .spin import SpinLabel
+from .spin import SpinLabel, _popcount
 from .statevector import StateVector, sample_counts
 from .states import load_amplitudes, preset_state
 from .verification import run_verification
-
-DEFAULT_SEED = 12345
 
 BIT_ORDER_NOTE = (
     "bitstrings are most-significant qubit first; registers are listed in "
@@ -150,27 +147,21 @@ def run_experiment(config: ExperimentConfig) -> dict:
     if state.num_qubits != config.n:
         raise ValueError("initial state size does not match n")
 
-    if config.method == "a":
-        layout = layout_for(config.n, "a")
-        outcomes = method_a(state, config.n, config.mode, config.trotter_steps)
-        sampled = _sample_register_counts(state, config, layout) if config.shots else {}
-    elif config.method in ("b-s2j", "b-hj"):
-        layout = layout_for(config.n, config.method)
-        outcomes = method_b(
-            state, config.n, config.method[2:], config.mode, config.trotter_steps
-        )
-        sampled = _sample_register_counts(state, config, layout) if config.shots else {}
-    elif config.method == "c-deferred":
-        layout = layout_for(config.n, "c-deferred")
-        outcomes = method_c_deferred(state, config.n)
-        sampled = _sample_register_counts(state, config, layout) if config.shots else {}
-    else:  # method c: inherently sampled, one shot at a time
+    if config.method == "c":  # inherently sampled, one shot at a time
         layout = layout_for(config.n, "c")
         outcomes, sampled = _run_sequential(state, config)
+    else:
+        joint, layout, outcomes = run_filter(
+            state, config.n, config.method, config.mode, config.trotter_steps
+        )
+        sampled = {}
+        if config.shots:
+            counts = sample_counts(joint, layout.ancilla_qubits(), config.shots, config.seed)
+            for bits, count in counts.items():
+                sampled[_row_key(register_bits(int(bits, 2), layout))] = count
 
     rows = []
     for o in _sorted_outcomes(outcomes, layout):
-        key = tuple(sorted(o.raw_bits.items()))
         row = {
             "label": _label_json(o),
             "label_text": _label_text(o),
@@ -178,7 +169,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             "probability": o.probability,
         }
         if config.shots:
-            row["count"] = sampled.get(key, 0)
+            row["count"] = sampled.get(_row_key(o.raw_bits), 0)
         rows.append(row)
 
     return {
@@ -202,49 +193,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
     }
 
 
-def _sample_register_counts(state, config: ExperimentConfig, layout: RegisterLayout) -> dict:
-    """Shot counts keyed like raw_bits, sampled from the final joint state."""
-    if config.method == "a":
-        from .filtering import method_a_final_state
-
-        joint, layout = method_a_final_state(state, config.n, config.mode, config.trotter_steps)
-    elif config.method in ("b-s2j", "b-hj"):
-        from .filtering import method_b_final_state
-
-        joint, layout = method_b_final_state(
-            state, config.n, config.method[2:], config.mode, config.trotter_steps
-        )
-    else:
-        from .filtering import method_c_deferred_final_state
-
-        joint, layout = method_c_deferred_final_state(state, config.n)
-    ancillas = layout.ancilla_qubits()
-    counts = sample_counts(joint, ancillas, config.shots, config.seed)
-    out: dict = {}
-    for bits, count in counts.items():
-        integers = {}
-        cursor = 0
-        value = int(bits, 2)
-        for name, qubits in layout.registers:
-            width = len(qubits)
-            integers[name] = (value >> cursor) & ((1 << width) - 1)
-            cursor += width
-        key = tuple(
-            sorted((name, format(integers[name], f"0{len(qubits)}b"))
-                   for name, qubits in layout.registers)
-        )
-        out[key] = out.get(key, 0) + count
-    return out
+def _row_key(raw_bits: dict[str, str]) -> tuple:
+    return tuple(sorted(raw_bits.items()))
 
 
 def _run_sequential(state, config: ExperimentConfig):
-    """Method c: per-shot sequential filtering with classical feedback."""
-    sampler = SequentialPathSampler(state, config.n)
-    rng = np.random.default_rng(config.seed)
-    counts: dict[PathLabel, int] = {}
-    for _ in range(config.shots):
-        record = sampler.sample(rng)
-        counts[record.path] = counts.get(record.path, 0) + 1
+    """Method c: outcome rows from the per-shot sequential filter's counts."""
+    counts = method_c_counts(state, config.n, config.shots, config.seed)
     outcomes = []
     sampled = {}
     for path, count in counts.items():
@@ -259,7 +214,7 @@ def _run_sequential(state, config: ExperimentConfig):
                 raw_bits=raw,
             )
         )
-        sampled[tuple(sorted(raw.items()))] = count
+        sampled[_row_key(raw)] = count
     return outcomes, sampled
 
 
@@ -330,10 +285,7 @@ def rng_demo(n: int, shots: int, seed: int) -> dict:
         raise ValueError("shots must be >= 1")
     state = preset_state("hadamard", n)
     probs = state.probabilities()
-    idx = np.arange(probs.size, dtype=np.uint64)
-    weights = np.zeros(probs.size)
-    for q in range(n):
-        weights += ((idx >> np.uint64(q)) & np.uint64(1)).astype(np.float64)
+    weights = _popcount(np.arange(probs.size, dtype=np.uint64))
     p_k = np.bincount(weights.astype(np.int64), weights=probs, minlength=n + 1)
     p_k = p_k / p_k.sum()
     rng = np.random.default_rng(seed)

@@ -75,11 +75,9 @@ def _support_operator(op: TranspositionSum) -> TranspositionSum:
 
 
 def _hamming_phases(state: StateVector, op: HammingWeightOperator, phase_scale: float) -> np.ndarray:
-    idx = np.arange(state.amplitudes.size, dtype=np.uint64)
-    weight = np.zeros(idx.shape, dtype=np.float64)
-    for q in range(op.num_qubits):
-        weight += (idx >> np.uint64(q)) & np.uint64(1)
-    return np.exp(2j * np.pi * phase_scale * weight)
+    # the weight depends only on the low (system) bits of the joint index
+    phases = np.exp(2j * np.pi * phase_scale * op.diagonal())
+    return np.tile(phases, state.amplitudes.size >> op.num_qubits)
 
 
 def apply_exact(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:

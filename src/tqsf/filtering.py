@@ -56,6 +56,7 @@ from .statevector import (
 
 METHODS = ("a", "b-s2j", "b-hj", "c", "c-deferred")
 DEFAULT_TROTTER_STEPS = 64
+DEFAULT_SEED = 12345
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,16 @@ class RegisterLayout:
 
     def ancilla_qubits(self) -> tuple[int, ...]:
         return tuple(q for _, qs in self.registers for q in qs)
+
+    @classmethod
+    def from_sizes(cls, num_system: int, sizes) -> "RegisterLayout":
+        """Consecutive registers after the system qubits, from (name, size) pairs."""
+        registers = []
+        cursor = num_system
+        for name, size in sizes:
+            registers.append((name, tuple(range(cursor, cursor + size))))
+            cursor += size
+        return cls(num_system=num_system, registers=tuple(registers))
 
 
 @dataclass(frozen=True)
@@ -151,45 +162,26 @@ class ShotRecord:
         return self.path.two_S_final
 
 
-def layout_for(n: int, method: str, hj_paper_bound: bool = False) -> RegisterLayout:
-    """Register layout for the given method, sized by min_ancillas.
-
-    `hj_paper_bound` shrinks the coupling registers to the loose
-    log2(j-1) bound; useful only to demonstrate the resulting aliasing.
-    """
+def layout_for(n: int, method: str) -> RegisterLayout:
+    """Register layout for the given method, sized by min_ancillas."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method != "a" and n < 2:
         raise ValueError(f"method {method!r} requires n >= 2")
-    registers: list[tuple[str, tuple[int, ...]]] = []
-    cursor = n
-
-    def add(name: str, size: int):
-        nonlocal cursor
-        registers.append((name, tuple(range(cursor, cursor + size))))
-        cursor += size
-
     if method == "a":
-        add("z", min_ancillas("z", n))
-        add("S", spin_register_size(n))
+        sizes = [("z", min_ancillas("z", n)), ("S", spin_register_size(n))]
     elif method in ("b-s2j", "b-hj"):
-        add("z", min_ancillas("z", n))
-        for j in range(2, n + 1):
-            if method == "b-s2j":
-                size = spin_register_size(j)
-            elif hj_paper_bound:
-                size = max(1, int(np.floor(np.log2(j - 1))) + 1)
-            else:
-                size = min_ancillas("hj", j)
-            add(f"path{j}", size)
+        sizes = [("z", min_ancillas("z", n))] + [
+            (f"path{j}", spin_register_size(j) if method == "b-s2j" else min_ancillas("hj", j))
+            for j in range(2, n + 1)
+        ]
     elif method == "c":
-        add("test", 1)
+        sizes = [("test", 1)]
     else:  # c-deferred
-        for j in range(2, n + 1):
-            add(f"step{j}", 1)
-    layout = RegisterLayout(num_system=n, registers=tuple(registers))
+        sizes = [(f"step{j}", 1) for j in range(2, n + 1)]
+    layout = RegisterLayout.from_sizes(n, sizes)
     if layout.total_qubits > MAX_QUBITS:
         raise CapacityError(
             f"{layout.total_qubits} total qubits exceed the {MAX_QUBITS}-qubit exact-mode limit"
@@ -252,16 +244,15 @@ def _check_register(spec: PhaseUnitary, register_size: int, exact_phases: bool) 
             )
 
 
-def run_qpe(state: StateVector, register, spec: PhaseUnitary, check: bool = True) -> StateVector:
+def run_qpe(state: StateVector, register, spec: PhaseUnitary) -> StateVector:
     """Standard phase-estimation block: H wall, controlled powers, inverse QFT.
 
     After the block the register amplitudes encode the eigenphase integers;
-    with `check` enabled the operator spectrum is verified to fit the
-    register without aliasing (exact binary fractions in exact mode).
+    the operator spectrum is first verified to fit the register without
+    aliasing (exact binary fractions in exact mode).
     """
     register = tuple(int(q) for q in register)
-    if check:
-        _check_register(spec, len(register), exact_phases=spec.mode == "exact")
+    _check_register(spec, len(register), exact_phases=spec.mode == "exact")
     for q in register:
         apply_gate(state, Gate(HADAMARD, (q,)))
     for k, control in enumerate(register):
@@ -270,28 +261,127 @@ def run_qpe(state: StateVector, register, spec: PhaseUnitary, check: bool = True
     return state
 
 
-def _enumerate_register_outcomes(joint: StateVector, layout: RegisterLayout):
-    """Yield (per-register integers, probability, collapsed system state)."""
+def register_bits(value: int, layout: RegisterLayout) -> dict[str, str]:
+    """Split an ancilla integer into per-register bitstrings.
+
+    The first register of the layout holds the lowest bits; each bitstring
+    is written most-significant qubit first.
+    """
+    out = {}
+    for name, qubits in layout.registers:
+        width = len(qubits)
+        out[name] = format_bits(value & ((1 << width) - 1), width)
+        value >>= width
+    return out
+
+
+def _decode_path(raw_bits: dict[str, str], n: int, variant: str) -> PathLabel:
+    """Coupling path from the prefix-spin (s2j) or coupling-sum (hj) registers."""
+    seq = [1]
+    for j in range(2, n + 1):
+        m = int(raw_bits[f"path{j}"], 2)
+        prev = seq[-1]
+        if variant == "s2j":
+            two_S = decode_total_spin(m, j)
+            if abs(two_S - prev) != 1:
+                raise DecodeError(
+                    f"prefix spins 2S={prev} -> 2S={two_S} differ by more than one half step"
+                )
+        else:
+            h = m - 1
+            if 2 * h == prev + j - 1:
+                two_S = prev + 1
+            elif prev > 0 and 2 * h == -prev + j - 3:  # a zero spin cannot decrease
+                two_S = prev - 1
+            else:
+                raise DecodeError(
+                    f"coupling eigenvalue {h} impossible after prefix spin 2S={prev}"
+                )
+        seq.append(two_S)
+    return PathLabel(tuple(seq), tuple(int(b > a) for a, b in zip(seq, seq[1:])))
+
+
+def _decode(raw_bits: dict[str, str], layout: RegisterLayout, method: str):
+    """(label, 2M) for measured register bitstrings; raises DecodeError.
+
+    2M is reported separately only for path labels read beside a z register;
+    a spin label carries its own M.
+    """
+    n = layout.num_system
+    if method in ("c", "c-deferred"):
+        return PathLabel.from_bits([int(raw_bits[f"step{j}"]) for j in range(2, n + 1)]), None
+    if method not in ("a", "b-s2j", "b-hj"):
+        raise ValueError(f"unknown method {method!r}")
+    k = int(raw_bits["z"], 2)
+    if k > n:
+        raise DecodeError(f"1-count register read {k} > n = {n}")
+    two_M = n - 2 * k
+    if method == "a":
+        path, two_S = None, decode_total_spin(int(raw_bits["S"], 2), n)
+    else:
+        path = _decode_path(raw_bits, n, method[2:])
+        two_S = path.two_S_final
+    if abs(two_M) > two_S:
+        raise DecodeError(f"|2M|={abs(two_M)} exceeds 2S={two_S}")
+    if path is None:
+        return SpinLabel(two_S, two_M), None
+    return path, two_M
+
+
+def decode_outcome(raw_bits: dict[str, str], layout: RegisterLayout, method: str):
+    """Decode measured register bitstrings into a spin or path label."""
+    return _decode(raw_bits, layout, method)[0]
+
+
+def _enumerate_register_outcomes(joint: StateVector, layout: RegisterLayout, method: str,
+                                 mode: str = "exact"):
+    """Yield one decoded FilterOutcome per register readout of nonzero weight.
+
+    In exact mode every readout decodes; in trotter mode the small weight
+    leaked onto undecodable readouts is yielded under a None label.
+    """
     ancillas = layout.ancilla_qubits()
     probs = _marginal(joint, ancillas)
-    widths = [(name, len(qubits)) for name, qubits in layout.registers]
     for outcome in np.flatnonzero(probs > PRUNE_TOL):
         outcome = int(outcome)
+        raw = register_bits(outcome, layout)
+        try:
+            label, two_M = _decode(raw, layout, method)
+        except DecodeError:
+            if mode == "exact":
+                raise
+            label, two_M = None, None
         bits = {qb: (outcome >> i) & 1 for i, qb in enumerate(ancillas)}
-        system_state = _extract_system(joint, layout, bits)
-        integers = {}
-        shift = 0
-        for name, width in widths:
-            integers[name] = (outcome >> shift) & ((1 << width) - 1)
-            shift += width
-        yield integers, float(probs[outcome]), system_state
+        yield FilterOutcome(
+            label=label,
+            probability=float(probs[outcome]),
+            post_state=_extract_system(joint, layout, bits),
+            raw_bits=raw,
+            two_M=two_M,
+        )
 
 
-def _raw_bits(integers: dict[str, int], layout: RegisterLayout) -> dict[str, str]:
-    return {
-        name: format_bits(integers[name], len(qubits))
-        for name, qubits in layout.registers
-    }
+def run_filter(
+    state: StateVector,
+    n: int,
+    method: str,
+    mode: str = "exact",
+    trotter_steps: int = DEFAULT_TROTTER_STEPS,
+) -> tuple[StateVector, RegisterLayout, list[FilterOutcome]]:
+    """The shared pipeline of the coherent methods: simulate once, then decode.
+
+    Returns the pre-measurement joint state, its layout and the exact
+    outcome table; shots are sampled from that same joint state.
+    """
+    if method == "a":
+        joint, layout = method_a_final_state(state, n, mode, trotter_steps)
+    elif method in ("b-s2j", "b-hj"):
+        joint, layout = method_b_final_state(state, n, method[2:], mode, trotter_steps)
+    elif method == "c-deferred":
+        joint, layout = method_c_deferred_final_state(state, n)
+    else:
+        raise ValueError(f"method {method!r} has no single coherent circuit")
+    return joint, layout, list(_enumerate_register_outcomes(joint, layout, method, mode))
 
 
 def _spin_unitaries(n: int, layout: RegisterLayout, mode: str, trotter_steps: int):
@@ -330,20 +420,7 @@ def method_a(
     register integer decodes; in trotter mode the small weight leaked onto
     undecodable integers is returned under a None label.
     """
-    joint, layout = method_a_final_state(state, n, mode, trotter_steps)
-    outcomes = []
-    for integers, prob, system_state in _enumerate_register_outcomes(joint, layout):
-        raw = _raw_bits(integers, layout)
-        try:
-            label = decode_outcome(raw, layout, "a")
-        except DecodeError:
-            if mode == "exact":
-                raise
-            label = None
-        outcomes.append(
-            FilterOutcome(label=label, probability=prob, post_state=system_state, raw_bits=raw)
-        )
-    return outcomes
+    return run_filter(state, n, "a", mode, trotter_steps)[2]
 
 
 def _path_unitary(j: int, n: int, layout: RegisterLayout, variant: str,
@@ -388,81 +465,7 @@ def method_b(
     prefix total spin, i.e. a single state of the degenerate (S, M) sector.
     """
     joint, layout = method_b_final_state(state, n, variant, mode, trotter_steps, layout)
-    outcomes = []
-    for integers, prob, system_state in _enumerate_register_outcomes(joint, layout):
-        raw = _raw_bits(integers, layout)
-        try:
-            label, two_M = _decode_b(raw, layout, variant)
-        except DecodeError:
-            if mode == "exact":
-                raise
-            label, two_M = None, None
-        outcomes.append(
-            FilterOutcome(
-                label=label,
-                probability=prob,
-                post_state=system_state,
-                raw_bits=raw,
-                two_M=two_M,
-            )
-        )
-    return outcomes
-
-
-def _decode_b(raw_bits: dict[str, str], layout: RegisterLayout, variant: str):
-    n = layout.num_system
-    k = int(raw_bits["z"], 2)
-    if k > n:
-        raise DecodeError(f"1-count register read {k} > n = {n}")
-    two_M = n - 2 * k
-    seq = [1]
-    bits = []
-    for j in range(2, n + 1):
-        m = int(raw_bits[f"path{j}"], 2)
-        prev = seq[-1]
-        if variant == "s2j":
-            two_S = decode_total_spin(m, j)
-            if abs(two_S - prev) != 1:
-                raise DecodeError(
-                    f"prefix spins 2S={prev} -> 2S={two_S} differ by more than one half step"
-                )
-        else:
-            h = m - 1
-            if 2 * h == prev + j - 1:
-                two_S = prev + 1
-            elif 2 * h == -prev + j - 3:
-                two_S = prev - 1
-            else:
-                raise DecodeError(
-                    f"coupling eigenvalue {h} impossible after prefix spin 2S={prev}"
-                )
-        seq.append(two_S)
-        bits.append(int(two_S > prev))
-    label = PathLabel(tuple(seq), tuple(bits))
-    if abs(two_M) > label.two_S_final:
-        raise DecodeError(f"|2M|={abs(two_M)} exceeds final 2S={label.two_S_final}")
-    return label, two_M
-
-
-def decode_outcome(raw_bits: dict[str, str], layout: RegisterLayout, method: str):
-    """Decode measured register bitstrings into a spin or path label."""
-    if method == "a":
-        n = layout.num_system
-        k = int(raw_bits["z"], 2)
-        if k > n:
-            raise DecodeError(f"1-count register read {k} > n = {n}")
-        two_M = n - 2 * k
-        two_S = decode_total_spin(int(raw_bits["S"], 2), n)
-        if abs(two_M) > two_S:
-            raise DecodeError(f"|2M|={abs(two_M)} exceeds 2S={two_S}")
-        return SpinLabel(two_S, two_M)
-    if method in ("b-s2j", "b-hj"):
-        label, _ = _decode_b(raw_bits, layout, method[2:])
-        return label
-    if method in ("c", "c-deferred"):
-        bits = [int(raw_bits[f"step{j}"]) for j in range(2, layout.num_system + 1)]
-        return PathLabel.from_bits(bits)
-    raise ValueError(f"unknown method {method!r}")
+    return list(_enumerate_register_outcomes(joint, layout, f"b-{variant}", mode))
 
 
 class SequentialPathSampler:
@@ -482,6 +485,7 @@ class SequentialPathSampler:
         if n < 2:
             raise ValueError("sequential filtering needs n >= 2")
         self.n = n
+        self._layout = layout_for(n, "c")
         self._root = (state.copy(), 1)  # (system state, two_S)
         self._children: dict[tuple[int, ...], tuple[float, dict]] = {}
 
@@ -493,10 +497,8 @@ class SequentialPathSampler:
         system, two_S = node
         j = len(prefix) + 2
         spec = step_phase_unitary(j, self.n, two_S)
-        joint_amps = np.zeros(system.amplitudes.size * 2, dtype=np.complex128)
-        joint_amps[: system.amplitudes.size] = system.amplitudes
-        joint = StateVector(joint_amps, copy=False)
-        ancilla = self.n
+        joint = _embed(system, self._layout)
+        (ancilla,) = self._layout.register("test")
         apply_gate(joint, Gate(HADAMARD, (ancilla,)))
         apply_controlled_phase_unitary(spec, joint, ancilla)
         apply_gate(joint, Gate(HADAMARD, (ancilla,)))
@@ -504,7 +506,7 @@ class SequentialPathSampler:
         children = {}
         for bit in (0, 1):
             if probs[bit] > PRUNE_TOL:
-                collapsed = _extract_system_half(joint, bit)
+                collapsed = _extract_system(joint, self._layout, {ancilla: bit})
                 children[bit] = (collapsed, two_S + (1 if bit else -1))
         result = (float(probs[1]), children)
         self._children[prefix] = result
@@ -530,13 +532,6 @@ class SequentialPathSampler:
             node = children[bit]
             prefix = prefix + (bit,)
         return ShotRecord(path=PathLabel.from_bits(bits), post_state=node[0])
-
-
-def _extract_system_half(joint: StateVector, ancilla_bit: int) -> StateVector:
-    half = joint.amplitudes.size // 2
-    block = joint.amplitudes[half:] if ancilla_bit else joint.amplitudes[:half]
-    block = np.array(block, copy=True)
-    return StateVector(block / np.linalg.norm(block), copy=False)
 
 
 def method_c(state: StateVector, n: int, rng) -> ShotRecord:
@@ -602,12 +597,4 @@ def method_c_deferred(state: StateVector, n: int) -> list[FilterOutcome]:
     earlier ancillas.  All ancillas are measured at the end, so the exact
     path distribution comes from a single circuit.
     """
-    joint, layout = method_c_deferred_final_state(state, n)
-    outcomes = []
-    for integers, prob, system_state in _enumerate_register_outcomes(joint, layout):
-        raw = _raw_bits(integers, layout)
-        label = decode_outcome(raw, layout, "c-deferred")
-        outcomes.append(
-            FilterOutcome(label=label, probability=prob, post_state=system_state, raw_bits=raw)
-        )
-    return outcomes
+    return run_filter(state, n, "c-deferred")[2]

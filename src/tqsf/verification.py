@@ -14,7 +14,9 @@ import numpy as np
 from .errors import AliasingError
 from .evolution import apply_swap_rotation
 from .filtering import (
+    DEFAULT_SEED,
     PathLabel,
+    RegisterLayout,
     SequentialPathSampler,
     layout_for,
     method_a,
@@ -35,14 +37,16 @@ from .spin import (
 )
 from .states import random_state
 
-DEFAULT_SEED = 12345
-
 
 @dataclass
 class Check:
     name: str
     passed: bool
     detail: str = ""
+
+    def __post_init__(self):
+        # checks compare numpy scalars; the report must stay JSON-serialisable
+        self.passed = bool(self.passed)
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -283,17 +287,9 @@ def check_undersized_register_detected(j: int = 4) -> Check:
     """
     n = j
     state = random_state(n, np.random.default_rng(DEFAULT_SEED))
-    strict = layout_for(n, "b-hj")
-    loose_size = max(1, int(np.floor(np.log2(j - 1))) + 1)
-    registers = []
-    cursor = n
-    for name, qubits in strict.registers:
-        size = loose_size if name == f"path{j}" else len(qubits)
-        registers.append((name, tuple(range(cursor, cursor + size))))
-        cursor += size
-    from .filtering import RegisterLayout
-
-    layout = RegisterLayout(num_system=n, registers=tuple(registers))
+    sizes = layout_for(n, "b-hj").register_sizes()
+    sizes[f"path{j}"] = max(1, int(np.floor(np.log2(j - 1))) + 1)
+    layout = RegisterLayout.from_sizes(n, sizes.items())
     try:
         method_b(state, n, "hj", layout=layout)
     except AliasingError as exc:

@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 
 from tqsf.cli import ExperimentConfig, main, rng_demo, run_experiment
+from tqsf.filtering import (
+    PathLabel,
+    method_a_final_state,
+    method_b_final_state,
+    method_c_counts,
+    method_c_deferred_final_state,
+)
+from tqsf.states import hadamard_x13_state
+from tqsf.statevector import sample_counts
 
 
 def read_json(path):
@@ -87,6 +96,55 @@ def test_run_sampled_counts_and_determinism(tmp_path):
     assert d1 == d2
     counts = [row["count"] for row in d1["outcomes"]]
     assert sum(counts) == 10000
+
+
+@pytest.mark.parametrize(
+    "method, mode",
+    [("a", "exact"), ("b-s2j", "exact"), ("b-hj", "exact"), ("c-deferred", "exact"),
+     ("a", "trotter")],
+)
+def test_run_counts_sample_the_final_state(method, mode):
+    n, shots, seed, steps = 4, 5000, 31, 8
+    config = ExperimentConfig(n=n, initial_state="hadamard-x13", method=method, mode=mode,
+                              trotter_steps=steps, shots=shots, seed=seed)
+    doc = run_experiment(config)
+    state = hadamard_x13_state(n)
+    if method == "a":
+        joint, layout = method_a_final_state(state, n, mode, steps)
+    elif method.startswith("b-"):
+        joint, layout = method_b_final_state(state, n, method[2:], mode, steps)
+    else:
+        joint, layout = method_c_deferred_final_state(state, n)
+    expected = sample_counts(joint, layout.ancilla_qubits(), shots, seed)
+    # the ancilla bitstring lists the last register first
+    names = [name for name, _ in reversed(layout.registers)]
+    got = {"".join(row["raw_bits"][name] for name in names): row["count"]
+           for row in doc["outcomes"]}
+    assert {bits: count for bits, count in got.items() if count} == expected
+
+
+def test_run_method_c_rows_are_method_c_counts():
+    shots, seed = 3000, 17
+    doc = run_experiment(ExperimentConfig(n=4, initial_state="hadamard-x13", method="c",
+                                          shots=shots, seed=seed))
+    got = {}
+    for row in doc["outcomes"]:
+        got[PathLabel.from_bits([int(b) for b in row["label"]["step_bits"]])] = row["count"]
+        assert row["probability"] == row["count"] / shots
+    assert got == method_c_counts(hadamard_x13_state(4), 4, shots, seed)
+
+
+def test_run_b_hj_trotter_reports_leakage_undecoded(tmp_path):
+    out = tmp_path / "r.json"
+    rc = main([
+        "run", "--n", "4", "--state", "hadamard-x13", "--method", "b-hj",
+        "--mode", "trotter", "--trotter-steps", "16", "--shots", "100", "--out", str(out),
+    ])
+    assert rc == 0
+    rows = read_json(out)["outcomes"]
+    assert sum(row["probability"] for row in rows) == pytest.approx(1.0, abs=1e-9)
+    assert sum(row["count"] for row in rows) == 100
+    assert any(row["label"]["kind"] == "undecoded" for row in rows)
 
 
 def test_run_writes_csv_and_svg(tmp_path):
@@ -227,9 +285,10 @@ def test_verify_full_range_n6(capsys):
     assert "[PASS] oracle-equivalence-n6" in out
 
 
-def test_verify_report_file(tmp_path):
+@pytest.mark.parametrize("n_max", ["2", "3"])
+def test_verify_report_file(tmp_path, n_max):
     out = tmp_path / "report.json"
-    rc = main(["verify", "--n-max", "2", "--states-per-n", "2", "--out", str(out)])
+    rc = main(["verify", "--n-max", n_max, "--states-per-n", "2", "--out", str(out)])
     assert rc == 0
     report = read_json(out)
     assert report["passed"] is True

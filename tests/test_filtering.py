@@ -7,6 +7,7 @@ from tqsf.errors import AliasingError, CapacityError, DecodeError
 from tqsf.evolution import total_spin_phase_unitary, z_phase_unitary
 from tqsf.filtering import (
     PathLabel,
+    RegisterLayout,
     SequentialPathSampler,
     decode_outcome,
     layout_for,
@@ -388,9 +389,20 @@ def test_method_b_sampled_histogram_matches_exact():
         assert abs(counts.get(bits, 0) - shots * p) < 3 * sigma
 
 
+def test_hj_decoder_rejects_decrease_from_zero_spin():
+    # trotter leakage: path2 reads a decrease to 2S=0, path3 a further decrease
+    raw = {"z": "010", "path2": "00", "path3": "01", "path4": "010"}
+    with pytest.raises(DecodeError):
+        decode_outcome(raw, layout_for(4, "b-hj"), "b-hj")
+
+
 def test_method_b_undersized_layout_raises():
     n = 4
-    layout = layout_for(n, "b-hj", hj_paper_bound=True)
+    # the strict b-hj layout with only path4 shrunk to the loose log2(j-1) bound
+    layout = RegisterLayout(
+        num_system=n,
+        registers=(("z", (4, 5, 6)), ("path2", (7, 8)), ("path3", (9, 10)), ("path4", (11, 12))),
+    )
     with pytest.raises(AliasingError):
         method_b(hadamard_x13_state(n), n, "hj", layout=layout)
 
