@@ -8,6 +8,10 @@ trotter mode splits the transposition sum into per-pair SWAP rotations using
 applied first order in a fixed lexicographic pair order.  Controlled-power
 applications — the building blocks of phase estimation — scale alpha rather
 than repeating the circuit.
+
+Every kernel mutates ``state.amplitudes`` in place through strided views of
+its (2,)*q qubit tensor and never rebinds it; a controlled kernel works on
+the view where the control reads 1.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .spin import (
     _step_sum,
     eigen_oracle,
 )
-from .statevector import Gate, StateVector, _apply_matrix
+from .statevector import Gate, StateVector, _apply_matrix, _check_qubits
 
 
 @dataclass(frozen=True)
@@ -74,24 +78,51 @@ def _support_operator(op: TranspositionSum) -> TranspositionSum:
     )
 
 
-def _hamming_phases(state: StateVector, op: HammingWeightOperator, phase_scale: float) -> np.ndarray:
-    # the weight depends only on the low (system) bits of the joint index
+def _hamming_phases(op: HammingWeightOperator, phase_scale: float) -> np.ndarray:
+    """Phases on the system qubits as a (2,)*n tensor; the weight depends only
+    on the low (system) bits, so it broadcasts over any qubit tensor's trailing axes."""
     phases = np.exp(2j * np.pi * phase_scale * op.diagonal())
-    return np.tile(phases, state.amplitudes.size >> op.num_qubits)
+    return phases.reshape((2,) * op.num_qubits)
 
 
-def apply_exact(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:
-    """Apply U^power using the operator's spectral decomposition; in place."""
-    scale = spec.alpha * power
-    op = spec.operator
-    if isinstance(op, HammingWeightOperator):
-        state.amplitudes *= _hamming_phases(state, op, scale)
-        return state
-    matrix, support = _dense_unitary(op, scale)
-    if not support:
-        state.amplitudes *= matrix[0, 0]
-        return state
-    _apply_matrix(state.amplitudes, state.num_qubits, matrix, support)
+def _qubit_view(state: StateVector, control: int | None = None) -> np.ndarray:
+    """The amplitudes as a (2,)*q view, qubit k on axis ndim-1-k.
+
+    With a control, the view is the slice where `control` reads 1; qubits
+    above the control then sit one rank lower in it.
+    """
+    q = state.num_qubits
+    t = state.amplitudes.reshape((2,) * q)
+    if control is None:
+        return t
+    return t[(slice(None),) * (q - 1 - control) + (1, ...)]
+
+
+def _pair_rotate(t: np.ndarray, alpha: float, i: int, j: int) -> None:
+    """t <- cos(alpha) t + i sin(alpha) SWAP_ij t on the qubit tensor `t`; in place.
+
+    SWAP fixes the 00/11 blocks of qubits (i, j) and exchanges 01 with 10.
+    """
+    c, s = np.cos(alpha), 1j * np.sin(alpha)
+
+    def block(bit_i, bit_j):
+        sel = [slice(None)] * t.ndim
+        sel[t.ndim - 1 - i], sel[t.ndim - 1 - j] = bit_i, bit_j
+        return t[(*sel, ...)]  # a view even when it holds one amplitude
+
+    for same in (block(0, 0), block(1, 1)):
+        same[...] = c * same + s * same
+    lo, hi = block(0, 1), block(1, 0)
+    lo_old = lo.copy()
+    lo[...] = c * lo + s * hi
+    hi[...] = c * hi + s * lo_old
+
+
+def _controlled_swap_rotation(state, alpha, i, j, control=None):
+    """SWAP rotation on the branch where `control` reads 1 (everywhere if None)."""
+    if control is not None:
+        i, j = i - (i > control), j - (j > control)
+    _pair_rotate(_qubit_view(state, control), alpha, i, j)
     return state
 
 
@@ -99,98 +130,66 @@ def apply_swap_rotation(state: StateVector, alpha: float, i: int, j: int) -> Sta
     """state <- cos(alpha) state + i sin(alpha) SWAP_ij state; in place."""
     if i == j:
         raise ValueError("swap rotation requires two distinct qubits")
-    amps = state.amplitudes
-    idx = np.arange(amps.size)
-    partner = amps[idx ^ ((1 << i) | (1 << j))]
-    same = ((idx >> i) & 1) == ((idx >> j) & 1)
-    swapped = np.where(same, amps, partner)
-    state.amplitudes = np.cos(alpha) * amps + 1j * np.sin(alpha) * swapped
-    return state
+    _check_qubits(state, (i, j))
+    return _controlled_swap_rotation(state, alpha, i, j)
 
 
-def _controlled_swap_rotation(state, alpha, i, j, control):
-    amps = state.amplitudes
-    idx = np.arange(amps.size)
-    on = ((idx >> control) & 1) == 1
-    partner = amps[idx ^ ((1 << i) | (1 << j))]
-    same = ((idx >> i) & 1) == ((idx >> j) & 1)
-    swapped = np.where(same, amps, partner)
-    rotated = np.cos(alpha) * amps + 1j * np.sin(alpha) * swapped
-    state.amplitudes = np.where(on, rotated, amps)
-    return state
+def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
+            control: int | None = None) -> StateVector:
+    """U^power on the branch where `control` reads 1 (everywhere if None); in place.
 
-
-def apply_trotter(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:
-    """First-order Trotter application of U^power; in place.
-
-    The identity part commutes with everything and is applied as one exact
-    phase; each of `trotter_steps` sweeps applies the per-pair rotations in
-    lexicographic (i, j) order.
+    Trotter mode applies the identity part, which commutes with everything,
+    as one exact phase; each of `trotter_steps` sweeps then applies the
+    per-pair rotations in lexicographic (i, j) order.
     """
     op = spec.operator
     scale = spec.alpha * power
-    if isinstance(op, HammingWeightOperator):
-        # diagonal: a product of single-qubit phases, nothing to split
-        state.amplitudes *= _hamming_phases(state, op, scale)
-        return state
-    steps = spec.trotter_steps
-    if steps < 1:
-        raise ValueError("trotter_steps must be >= 1")
-    if op.identity_coefficient:
-        state.amplitudes *= np.exp(
-            2j * np.pi * scale * op.identity_coefficient / op.denominator
-        )
-    order = sorted(zip(op.pairs, op.pair_coefficients))
-    for _ in range(steps):
-        for (i, j), c in order:
-            apply_swap_rotation(state, 2 * np.pi * scale * c / (op.denominator * steps), i, j)
-    return state
-
-
-def apply_phase_unitary(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:
-    if spec.mode == "trotter":
-        return apply_trotter(spec, state, power)
-    return apply_exact(spec, state, power)
-
-
-def apply_controlled_phase_unitary(
-    spec: PhaseUnitary, state: StateVector, control: int, power: int = 1
-) -> StateVector:
-    """Apply U^power on the branch where `control` reads 1; in place."""
-    op = spec.operator
-    scale = spec.alpha * power
-    if isinstance(op, HammingWeightOperator):
-        if control < op.num_qubits:
-            raise ValueError("control qubit overlaps the operator's qubits")
-        idx = np.arange(state.amplitudes.size, dtype=np.uint64)
-        on = ((idx >> np.uint64(control)) & np.uint64(1)).astype(bool)
-        phases = _hamming_phases(state, op, scale)
-        state.amplitudes = np.where(on, state.amplitudes * phases, state.amplitudes)
-        return state
-    if control in op.support:
+    qubits = op.support
+    if control in qubits:
         raise ValueError("control qubit overlaps the operator's qubits")
-    if spec.mode == "trotter":
+    controls = () if control is None else (control,)
+    _check_qubits(state, qubits + controls)
+    view = _qubit_view(state, control)
+    if isinstance(op, HammingWeightOperator):
+        # diagonal in either mode: a product of single-qubit phases, nothing to split
+        view *= _hamming_phases(op, scale)
+    elif mode == "trotter":
         steps = spec.trotter_steps
+        if steps < 1:
+            raise ValueError("trotter_steps must be >= 1")
         if op.identity_coefficient:
-            phase = np.exp(2j * np.pi * scale * op.identity_coefficient / op.denominator)
-            idx = np.arange(state.amplitudes.size)
-            on = ((idx >> control) & 1) == 1
-            state.amplitudes = np.where(on, state.amplitudes * phase, state.amplitudes)
+            view *= np.exp(2j * np.pi * scale * op.identity_coefficient / op.denominator)
         order = sorted(zip(op.pairs, op.pair_coefficients))
         for _ in range(steps):
             for (i, j), c in order:
                 _controlled_swap_rotation(
                     state, 2 * np.pi * scale * c / (op.denominator * steps), i, j, control
                 )
-        return state
-    matrix, support = _dense_unitary(op, scale)
-    if not support:
-        idx = np.arange(state.amplitudes.size)
-        on = ((idx >> control) & 1) == 1
-        state.amplitudes = np.where(on, state.amplitudes * matrix[0, 0], state.amplitudes)
-        return state
-    _apply_matrix(state.amplitudes, state.num_qubits, matrix, support, (control,), (1,))
+    else:
+        matrix, support = _dense_unitary(op, scale)
+        if not support:
+            view *= matrix[0, 0]
+        else:
+            _apply_matrix(state.amplitudes, state.num_qubits, matrix, support,
+                          controls, (1,) * len(controls))
     return state
+
+
+def apply_exact(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:
+    """Apply U^power using the operator's spectral decomposition; in place."""
+    return _evolve(spec, state, power, "exact")
+
+
+def apply_trotter(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:
+    """First-order Trotter application of U^power; in place."""
+    return _evolve(spec, state, power, "trotter")
+
+
+def apply_controlled_phase_unitary(
+    spec: PhaseUnitary, state: StateVector, control: int, power: int = 1
+) -> StateVector:
+    """Apply U^power on the branch where `control` reads 1; in place."""
+    return _evolve(spec, state, power, spec.mode, control)
 
 
 def z_phase_unitary(n: int, register_size: int) -> PhaseUnitary:

@@ -11,6 +11,10 @@ Conventions used throughout the package:
 Gates are applied by reshaping the amplitude array into a rank-q tensor and
 contracting the gate matrix over the target axes; the full 2^q x 2^q
 embedded matrix is never formed.
+
+In-place contract, shared with ``tqsf.evolution``: every kernel mutates
+``state.amplitudes`` through views of that tensor and never rebinds it, so
+a view of the amplitudes taken before a call sees the call's update.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from tqsf.evolution import (
     PhaseUnitary,
+    _controlled_swap_rotation,
     apply_controlled_phase_unitary,
     apply_exact,
     apply_swap_rotation,
@@ -15,6 +18,7 @@ from tqsf.evolution import (
     z_phase_unitary,
 )
 from tqsf.spin import (
+    HammingWeightOperator,
     TranspositionSum,
     build_total_spin_squared,
     eigen_oracle,
@@ -250,3 +254,157 @@ def test_step_unitary_allows_zero_prefix_for_deferred():
 def test_trotter_requires_steps():
     with pytest.raises(ValueError):
         PhaseUnitary(build_total_spin_squared(2), 0.25, mode="trotter", trotter_steps=0)
+
+
+def _index_swap_rotation(amps, alpha, i, j, control=None):
+    """Index-array form of the (controlled) SWAP rotation: the bit-level reference."""
+    idx = np.arange(amps.size)
+    partner = amps[idx ^ ((1 << i) | (1 << j))]
+    same = ((idx >> i) & 1) == ((idx >> j) & 1)
+    rotated = np.cos(alpha) * amps + 1j * np.sin(alpha) * np.where(same, amps, partner)
+    if control is None:
+        return rotated
+    return np.where(((idx >> control) & 1) == 1, rotated, amps)
+
+
+@pytest.mark.parametrize(
+    "i, j, control",
+    [(0, 11, None), (7, 2, None), (3, 9, 5), (9, 1, 4), (10, 6, 0), (0, 5, 11), (11, 10, 3)],
+)
+def test_swap_rotation_kernel_is_bit_identical_to_index_reference(i, j, control):
+    rng = np.random.default_rng(100 + i)
+    state = random_state(12, rng)
+    expected = _index_swap_rotation(state.amplitudes, 0.37, i, j, control)
+    if control is None:
+        apply_swap_rotation(state, 0.37, i, j)
+    else:
+        _controlled_swap_rotation(state, 0.37, i, j, control)
+    assert np.array_equal(state.amplitudes, expected)
+
+
+def test_controlled_trotter_sweep_is_bit_identical_to_index_reference():
+    n, control, steps = 5, 6, 3
+    rng = np.random.default_rng(9)
+    state = random_state(n + 2, rng)
+    spec = total_spin_phase_unitary(n, 3, mode="trotter", trotter_steps=steps)
+    op = spec.operator
+    expected = state.amplitudes.copy()
+    on = ((np.arange(expected.size) >> control) & 1) == 1
+    phase = np.exp(2j * np.pi * spec.alpha * op.identity_coefficient / op.denominator)
+    expected = np.where(on, expected * phase, expected)
+    for _ in range(steps):
+        for (i, j), c in sorted(zip(op.pairs, op.pair_coefficients)):
+            alpha = 2 * np.pi * spec.alpha * c / (op.denominator * steps)
+            expected = _index_swap_rotation(expected, alpha, i, j, control)
+    apply_controlled_phase_unitary(spec, state, control)
+    assert np.array_equal(state.amplitudes, expected)
+
+
+_TWO_QUBIT_SPECS = {
+    "exact": total_spin_phase_unitary(2, 1),
+    "trotter": total_spin_phase_unitary(2, 1, mode="trotter", trotter_steps=4),
+    "hamming": z_phase_unitary(2, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_TWO_QUBIT_SPECS))
+@pytest.mark.parametrize("control", [4, 7, -1])
+def test_controlled_rejects_out_of_range_control(kind, control):
+    state = random_state(4, np.random.default_rng(10))
+    before = state.amplitudes.copy()
+    with pytest.raises(ValueError):
+        apply_controlled_phase_unitary(_TWO_QUBIT_SPECS[kind], state, control=control)
+    assert np.array_equal(state.amplitudes, before)
+
+
+@pytest.mark.parametrize(
+    "apply, spec",
+    [
+        (apply_exact, total_spin_phase_unitary(4, 2)),
+        (apply_trotter, total_spin_phase_unitary(4, 2, mode="trotter", trotter_steps=2)),
+        (apply_exact, z_phase_unitary(4, 3)),
+    ],
+    ids=["exact", "trotter", "hamming"],
+)
+def test_rejects_operator_wider_than_state(apply, spec):
+    state = random_state(3, np.random.default_rng(11))
+    with pytest.raises(ValueError):
+        apply(spec, state)
+
+
+@pytest.mark.parametrize("i, j", [(0, 3), (-1, 1), (3, 0)])
+def test_swap_rotation_rejects_out_of_range_qubit(i, j):
+    state = random_state(3, np.random.default_rng(12))
+    with pytest.raises(ValueError):
+        apply_swap_rotation(state, 0.3, i, j)
+
+
+@st.composite
+def rotation_cases(draw):
+    q = draw(st.integers(2, 8))
+    i, j = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+    others = [c for c in range(q) if c not in (i, j)]
+    control = draw(st.none() | st.sampled_from(others)) if others else None
+    alpha = draw(st.floats(-4.0, 4.0))
+    return q, i, j, control, alpha, draw(st.sampled_from(["exact", "trotter"]))
+
+
+def _on_control_block(amps, control, transformed):
+    """`transformed` where `control` reads 1, `amps` elsewhere."""
+    if control is None:
+        return transformed
+    on = ((np.arange(amps.size) >> control) & 1) == 1
+    return np.where(on, transformed, amps)
+
+
+def _assert_updated_in_place(apply, state, expected):
+    amps = state.amplitudes
+    view = amps[1::2]  # taken before the call: must see the update
+    apply(state)
+    assert state.amplitudes is amps
+    assert np.max(np.abs(amps - expected)) < 1e-12
+    assert np.max(np.abs(view - expected[1::2])) < 1e-12
+
+
+@settings(deadline=None)
+@given(rotation_cases(), st.integers(0, 2**32 - 1))
+def test_swap_rotation_matches_dense_on_control_block(case, seed):
+    q, i, j, control, alpha, mode = case
+    state = random_state(q, np.random.default_rng(seed))
+    swap = TranspositionSum(num_qubits=q, pairs=((min(i, j), max(i, j)),))
+    p = swap.to_dense()
+    rotated = (np.cos(alpha) * np.eye(1 << q) + 1j * np.sin(alpha) * p) @ state.amplitudes
+    expected = _on_control_block(state.amplitudes, control, rotated)
+    if control is None:
+        _assert_updated_in_place(lambda s: apply_swap_rotation(s, alpha, i, j), state, expected)
+        return
+    # exp(2*pi*i * alpha/(2*pi) * P_ij): one pair, so one trotter step is exact
+    spec = PhaseUnitary(swap, alpha / (2 * np.pi), mode=mode, trotter_steps=1)
+    _assert_updated_in_place(
+        lambda s: apply_controlled_phase_unitary(spec, s, control), state, expected
+    )
+
+
+@st.composite
+def hamming_cases(draw):
+    q = draw(st.integers(1, 8))
+    n = draw(st.integers(1, q))
+    control = draw(st.none() | st.integers(n, q - 1)) if n < q else None
+    return q, n, control, draw(st.floats(-2.0, 2.0))
+
+
+@settings(deadline=None)
+@given(hamming_cases(), st.integers(0, 2**32 - 1))
+def test_hamming_phase_matches_dense_diagonal_on_control_block(case, seed):
+    q, n, control, alpha = case
+    state = random_state(q, np.random.default_rng(seed))
+    weight = np.kron(np.eye(1 << (q - n)), HammingWeightOperator(n).to_dense())
+    dense = np.diag(np.exp(2j * np.pi * alpha * np.diag(weight).real))
+    expected = _on_control_block(state.amplitudes, control, dense @ state.amplitudes)
+    spec = PhaseUnitary(HammingWeightOperator(n), alpha)
+    if control is None:
+        _assert_updated_in_place(lambda s: apply_exact(spec, s), state, expected)
+    else:
+        _assert_updated_in_place(
+            lambda s: apply_controlled_phase_unitary(spec, s, control), state, expected
+        )
