@@ -1,7 +1,8 @@
 """Phase unitaries U = exp(2*pi*i * alpha * O) for the spin operators.
 
-Exact mode synthesizes the unitary from the operator's spectral projectors;
-trotter mode splits the transposition sum into per-pair SWAP rotations using
+Exact mode synthesizes the unitary on the operator's support from the
+eigenvectors of its 1-count blocks (`spin.eigen_blocks`); trotter mode
+splits the transposition sum into per-pair SWAP rotations using
 
     exp(i*a*P_ij) = cos(a) I + i sin(a) P_ij,
 
@@ -16,7 +17,7 @@ the view where the control reads 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -28,7 +29,7 @@ from .spin import (
     build_prefix_spin_squared,
     build_total_spin_squared,
     _step_sum,
-    eigen_oracle,
+    eigen_blocks,
 )
 from .statevector import Gate, StateVector, _apply_matrix, _check_qubits
 
@@ -51,31 +52,13 @@ class PhaseUnitary:
 
 @lru_cache(maxsize=None)
 def _dense_unitary(op: TranspositionSum, phase_scale: float) -> tuple[np.ndarray, tuple[int, ...]]:
-    """exp(2*pi*i * phase_scale * op) on the support qubits."""
-    dense, support = op.dense_on_support()
-    if not support:
-        val = np.exp(2j * np.pi * phase_scale * dense[0, 0])
-        return np.array([[val]]), ()
-    # spectral synthesis keeps the result exactly unitary up to eigh error
-    reduced = _support_operator(op)
-    proj = eigen_oracle(reduced)
-    out = np.zeros_like(dense)
-    for lam, p in zip(proj.eigenvalues, proj.projectors):
-        out += np.exp(2j * np.pi * phase_scale * lam) * p
-    return out, support
-
-
-@lru_cache(maxsize=None)
-def _support_operator(op: TranspositionSum) -> TranspositionSum:
+    """exp(2*pi*i * phase_scale * op) on the support qubits, one weight block at a time."""
     support = op.support
-    rank = {q: r for r, q in enumerate(support)}
-    return TranspositionSum(
-        num_qubits=len(support),
-        identity_coefficient=op.identity_coefficient,
-        pairs=tuple((rank[i], rank[j]) for i, j in op.pairs),
-        pair_coefficients=op.pair_coefficients,
-        denominator=op.denominator,
-    )
+    out = np.zeros((1 << len(support),) * 2, dtype=np.complex128)
+    # spectral synthesis keeps the result exactly unitary up to eigh error
+    for idx, w, v in eigen_blocks(op):
+        out[np.ix_(idx, idx)] = (v * np.exp(2j * np.pi * phase_scale * w)) @ v.T
+    return out, support
 
 
 def _hamming_phases(op: HammingWeightOperator, phase_scale: float) -> np.ndarray:
@@ -204,13 +187,7 @@ def _spin_phase(op: TranspositionSum, num_spins: int, register_size: int,
         return PhaseUnitary(op, alpha=0.5 ** (register_size + 1), mode=mode,
                             trotter_steps=trotter_steps)
     # odd: shift the spectrum by -3/4 so the smallest phase is exactly 0
-    shifted = TranspositionSum(
-        num_qubits=op.num_qubits,
-        identity_coefficient=op.identity_coefficient - 0.75,
-        pairs=op.pairs,
-        pair_coefficients=op.pair_coefficients,
-        denominator=op.denominator,
-    )
+    shifted = replace(op, identity_coefficient=op.identity_coefficient - 0.75)
     return PhaseUnitary(shifted, alpha=0.5**register_size, mode=mode,
                         trotter_steps=trotter_steps)
 
@@ -228,13 +205,7 @@ def prefix_spin_phase_unitary(j: int, n: int, register_size: int, mode: str = "e
 def coupling_phase_unitary(j: int, n: int, register_size: int, mode: str = "exact",
                            trotter_steps: int = 0) -> PhaseUnitary:
     """exp(2*pi*i * (H+1) / 2^r) for the pairwise coupling sum of step j."""
-    op = build_coupling_sum(j, n)
-    shifted = TranspositionSum(
-        num_qubits=n,
-        identity_coefficient=1.0,
-        pairs=op.pairs,
-        pair_coefficients=op.pair_coefficients,
-    )
+    shifted = replace(build_coupling_sum(j, n), identity_coefficient=1.0)
     return PhaseUnitary(shifted, alpha=0.5**register_size, mode=mode,
                         trotter_steps=trotter_steps)
 

@@ -579,12 +579,14 @@ def method_c_deferred_final_state(state: StateVector, n: int) -> tuple[StateVect
 
     for j in range(2, n + 1):
         anc = step_ancilla(j)
+        histories = _reachable_histories(j)
+        # many histories share a prefix spin; build and validate each gate once
+        gates = {two_S: controlled_step_gate(j, n, two_S) for two_S in {s for _, s in histories}}
         apply_gate(joint, Gate(HADAMARD, (anc,)))
-        for bits, two_S_prev in _reachable_histories(j):
-            gate = controlled_step_gate(j, n, two_S_prev)
+        for bits, two_S_prev in histories:
             controls = [step_ancilla(2 + i) for i in range(len(bits))] + [anc]
             values = list(bits) + [1]
-            apply_controlled(joint, controls, values, gate)
+            apply_controlled(joint, controls, values, gates[two_S_prev])
         apply_gate(joint, Gate(HADAMARD, (anc,)))
     return joint, layout
 

@@ -6,9 +6,11 @@ identity
     S^2 = n(4-n)/4 * I + sum_{i<j} P_ij,
 
 where P_ij is the SWAP (transposition) of qubits i and j.  All operators in
-this module are stored in that symbolic form and densified on demand; the
-dense eigendecomposition doubles as an independent oracle for validating
-the filtering circuits.
+this module are stored in that symbolic form and densified on demand.  A
+transposition sum keeps the 1-count of a basis state, so the run path
+diagonalises it one weight block at a time (`eigen_blocks`).  The full
+dense eigendecomposition (`eigen_oracle`, `project_SM`) is used only by
+verification, as an independent check of the filtering circuits.
 
 Spin quantum numbers are carried as integers 2S and 2M to keep half-integer
 arithmetic exact.
@@ -17,7 +19,7 @@ arithmetic exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -88,13 +90,8 @@ class TranspositionSum:
                 (),
             )
         rank = {q: r for r, q in enumerate(support)}
-        remapped = TranspositionSum(
-            num_qubits=len(support),
-            identity_coefficient=self.identity_coefficient,
-            pairs=tuple((rank[i], rank[j]) for i, j in self.pairs),
-            pair_coefficients=self.pair_coefficients,
-            denominator=self.denominator,
-        )
+        remapped = replace(self, num_qubits=len(support),
+                           pairs=tuple((rank[i], rank[j]) for i, j in self.pairs))
         return remapped.to_dense(), support
 
 
@@ -278,16 +275,30 @@ def eigen_oracle(op) -> ProjectorSet:
 
 
 @lru_cache(maxsize=None)
+def eigen_blocks(op: TranspositionSum) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """(indices, eigenvalues, eigenvectors) of each 1-count block of the support matrix.
+
+    The operator commutes with the 1-count, so its support matrix is
+    block-diagonal over the basis states of each weight k; one `eigh` per
+    block diagonalises it.
+    """
+    dense, support = op.dense_on_support()
+    weights = _popcount(np.arange(dense.shape[0]))
+    blocks = []
+    for k in range(len(support) + 1):
+        idx = np.flatnonzero(weights == k)
+        # a transposition sum is real symmetric; its real eigh is the cheaper one
+        w, v = np.linalg.eigh(dense[np.ix_(idx, idx)].real)
+        blocks.append((idx, w, v))
+    return tuple(blocks)
+
+
 def spectrum(op) -> tuple[float, ...]:
-    """Distinct eigenvalues of the operator (computed on its support)."""
+    """Distinct eigenvalues of the operator, clustered at CLUSTER_TOL."""
     if isinstance(op, HammingWeightOperator):
         return tuple(float(k) for k in range(op.num_qubits + 1))
-    dense, support = op.dense_on_support()
-    if not support:
-        return (float(np.real(dense[0, 0])),)
-    w = np.linalg.eigvalsh(dense)
     values: list[float] = []
-    for lam in w:
+    for lam in np.sort(np.concatenate([w for _, w, _ in eigen_blocks(op)])):
         if not values or lam - values[-1] >= CLUSTER_TOL:
             values.append(float(lam))
     return tuple(values)

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from tqsf.evolution import (
     PhaseUnitary,
     _controlled_swap_rotation,
+    _dense_unitary,
     apply_controlled_phase_unitary,
     apply_exact,
     apply_swap_rotation,
@@ -23,6 +24,7 @@ from tqsf.spin import (
     build_total_spin_squared,
     eigen_oracle,
     min_ancillas,
+    spectrum,
     spin_register_size,
 )
 from tqsf.states import hadamard_state, random_state
@@ -408,3 +410,35 @@ def test_hamming_phase_matches_dense_diagonal_on_control_block(case, seed):
         _assert_updated_in_place(
             lambda s: apply_controlled_phase_unitary(spec, s, control), state, expected
         )
+
+
+# ------------------------------------------- weight-block synthesis vs oracle
+
+
+def _run_path_specs(m):
+    """Every run-path phase unitary family whose operator acts on qubits 0..m-1."""
+    yield total_spin_phase_unitary(m, spin_register_size(m))  # odd m: shifted by -3/4
+    yield prefix_spin_phase_unitary(m, m + 1, spin_register_size(m))
+    yield coupling_phase_unitary(m, m, min_ancillas("hj", m))
+    for two_S_prev in range((m - 1) % 2, m, 2):
+        yield step_phase_unitary(m, m, two_S_prev)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_block_synthesis_matches_dense_oracle(m):
+    for spec in _run_path_specs(m):
+        op = spec.operator
+        proj = eigen_oracle(op)
+        got = spectrum(op)
+        assert len(got) == len(proj.eigenvalues)
+        assert np.max(np.abs(np.array(got) - proj.eigenvalues)) < 1e-12
+        for power in (1, 2, 4, 8):
+            scale = spec.alpha * power
+            matrix, support = _dense_unitary(op, scale)
+            assert support == tuple(range(m))
+            assert np.max(np.abs(matrix.conj().T @ matrix - np.eye(1 << m))) < 1e-12
+            expected = sum(np.exp(2j * np.pi * scale * lam) * p
+                           for lam, p in zip(proj.eigenvalues, proj.projectors))
+            # the oracle acts on all op.num_qubits qubits; the spectator is identity
+            embedded = np.kron(np.eye(1 << (op.num_qubits - m)), matrix)
+            assert np.max(np.abs(embedded - expected)) < 1e-12

@@ -1,3 +1,4 @@
+import sys
 from collections import defaultdict
 
 import numpy as np
@@ -9,6 +10,8 @@ from tqsf.filtering import (
     PathLabel,
     RegisterLayout,
     SequentialPathSampler,
+    _check_register,
+    _path_unitary,
     decode_outcome,
     layout_for,
     method_a,
@@ -18,9 +21,16 @@ from tqsf.filtering import (
     method_c_counts,
     method_c_deferred,
     qft,
+    run_filter,
     run_qpe,
 )
-from tqsf.spin import SpinLabel, build_hamming_weight, build_total_spin_squared, project_SM
+from tqsf.spin import (
+    SpinLabel,
+    TranspositionSum,
+    build_hamming_weight,
+    build_total_spin_squared,
+    project_SM,
+)
 from tqsf.states import hadamard_state, hadamard_x13_state, random_state
 from tqsf.statevector import (
     HADAMARD,
@@ -141,6 +151,59 @@ def test_qpe_rejects_undersized_register():
 
 
 # ------------------------------------------------------------------ layouts
+
+
+@pytest.mark.parametrize("method", ["a", "b-s2j", "b-hj"])
+def test_check_register_accepts_every_layout_size(method):
+    checked = 0
+    for n in range(1 if method == "a" else 2, 9):
+        try:
+            layout = layout_for(n, method)
+        except CapacityError:
+            continue
+        sizes = layout.register_sizes()
+        specs = {"z": z_phase_unitary(n, sizes["z"])}
+        if method == "a":
+            specs["S"] = total_spin_phase_unitary(n, sizes["S"])
+        else:
+            for j in range(2, n + 1):
+                specs[f"path{j}"] = _path_unitary(j, n, layout, method[2:], "exact", 0)
+        for name, spec in specs.items():
+            _check_register(spec, sizes[name], exact_phases=True)
+            checked += 1
+    assert checked
+
+
+def test_run_path_never_calls_the_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense oracle ran on the run path")
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "tqsf"]
+    for module in modules:
+        for name in ("eigen_oracle", "_joint_projectors"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    # start cold, so cached unitaries cannot hide an oracle call
+    for module in modules:
+        for value in list(vars(module).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    densified = defaultdict(int)
+    dense_on_support = TranspositionSum.dense_on_support
+
+    def counted(op):
+        densified[op] += 1
+        return dense_on_support(op)
+
+    monkeypatch.setattr(TranspositionSum, "dense_on_support", counted)
+    rng = np.random.default_rng(17)
+    for n in (3, 4):
+        state = random_state(n, rng)
+        for method in ("a", "b-s2j", "b-hj", "c-deferred"):
+            outcomes = run_filter(state, n, method)[2]
+            assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
+        assert sum(method_c_counts(state, n, 200, seed=3).values()) == 200
+    assert max(densified.values()) == 1  # each operator densified once
 
 
 def test_layout_method_a_reference_sizes():

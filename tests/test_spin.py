@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tqsf.errors import DecodeError
+from tqsf.evolution import coupling_phase_unitary, prefix_spin_phase_unitary, total_spin_phase_unitary
 from tqsf.spin import (
     SpinLabel,
     TranspositionSum,
@@ -20,6 +21,7 @@ from tqsf.spin import (
     min_ancillas,
     project_SM,
     spectrum,
+    spin_register_size,
 )
 from tqsf.states import hadamard_state, random_state
 from tqsf.statevector import StateVector
@@ -149,6 +151,37 @@ def test_coupling_sum_integer_spectrum_in_range(n):
         for lam in spectrum(build_coupling_sum(j, n)):
             assert abs(lam - round(lam)) < 1e-9
             assert -1 <= round(lam) <= j - 1
+
+
+def _assert_spectrum(op, expected):
+    got = spectrum(op)
+    expected = sorted(set(expected))
+    assert len(got) == len(expected)
+    assert np.max(np.abs(np.array(got) - expected)) < 1e-12
+
+
+def _spin_values(j, shift=0.0):
+    """S(S+1) - shift for every total spin of j qubits."""
+    return [(s / 2) * (s / 2 + 1) - shift for s in range(j % 2, j + 1, 2)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spectrum_matches_analytic_spectra(n):
+    _assert_spectrum(build_total_spin_squared(n), _spin_values(n))
+    odd_shift = 0.75 if n % 2 else 0.0
+    _assert_spectrum(total_spin_phase_unitary(n, spin_register_size(n)).operator,
+                     _spin_values(n, odd_shift))
+    for j in range(2, n + 1):
+        _assert_spectrum(build_prefix_spin_squared(j, n), _spin_values(j))
+        odd_shift = 0.75 if j % 2 else 0.0
+        _assert_spectrum(prefix_spin_phase_unitary(j, n, spin_register_size(j)).operator,
+                         _spin_values(j, odd_shift))
+        # h + 1 for the spin increase (2S' + j - 1)/2 and decrease (j - 3 - 2S')/2
+        # from every prefix spin 2S' of j - 1 qubits; a zero spin cannot decrease
+        shifted = [(p + j - 1) // 2 + 1 for p in range((j - 1) % 2, j, 2)]
+        shifted += [(j - 3 - p) // 2 + 1 for p in range((j - 1) % 2, j, 2) if p > 0]
+        assert all(0 <= h <= j for h in shifted)
+        _assert_spectrum(coupling_phase_unitary(j, n, min_ancillas("hj", j)).operator, shifted)
 
 
 def test_step_operator_j2():
