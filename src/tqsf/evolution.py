@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spin import (
+    CACHE_SIZE,
     HammingWeightOperator,
     TranspositionSum,
     build_coupling_sum,
@@ -50,7 +51,7 @@ class PhaseUnitary:
             raise ValueError("trotter mode requires trotter_steps >= 1")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _dense_unitary(op: TranspositionSum, phase_scale: float) -> tuple[np.ndarray, tuple[int, ...]]:
     """exp(2*pi*i * phase_scale * op) on the support qubits, one weight block at a time."""
     support = op.support
@@ -224,8 +225,12 @@ def step_phase_unitary(j: int, n: int, two_S_prev: int) -> PhaseUnitary:
     return PhaseUnitary(_step_sum(j, n, two_S_prev), alpha=0.5)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def controlled_step_gate(j: int, n: int, two_S_prev: int) -> Gate:
-    """Dense gate for the step unitary, for use in multi-controlled circuits."""
+    """Dense gate for the step unitary, for use in multi-controlled circuits.
+
+    Cached, so each distinct gate passes `Gate`'s unitarity check once.
+    """
     spec = step_phase_unitary(j, n, two_S_prev)
     matrix, support = _dense_unitary(spec.operator, spec.alpha)
     return Gate(matrix, support)

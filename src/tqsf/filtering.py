@@ -469,14 +469,19 @@ def method_b(
 
 
 class SequentialPathSampler:
-    """Sequential spin-path filter with classical feedback, shot by shot.
+    """Sequential spin-path filter with classical feedback.
 
     Each shot walks j = 2..n: if the running spin is nonzero, a one-ancilla
     test of the step unitary is simulated and measured (collapsing the
     system); a zero running spin forces an increase with no quantum
-    operation.  Branches are memoized per path prefix, so repeated shots
-    reuse the collapsed states; the sampled statistics are identical to
-    independent full simulations.
+    operation.  One walk serves every shot: it steps through a table of
+    expanded nodes (increase probability, child ids) and simulates a node's
+    test, through the memoised `_branch`, only the first time a shot
+    reaches it.  The walk takes one uniform per non-forced step from a
+    source it is given: `sample` draws them one by one from the caller's
+    generator, `method_c_counts` from one seeded stream read in chunks.
+    Both sources yield the same doubles, so counts do not depend on the
+    chunking, and the statistics equal those of independent simulations.
     """
 
     def __init__(self, state: StateVector, n: int):
@@ -488,6 +493,12 @@ class SequentialPathSampler:
         self._layout = layout_for(n, "c")
         self._root = (state.copy(), 1)  # (system state, two_S)
         self._children: dict[tuple[int, ...], tuple[float, dict]] = {}
+        # The walk's node table. Node i is (step-bit prefix, (system, two_S));
+        # edge i is None until the node is expanded, then (p_increase, child
+        # id for bit 0, child id for bit 1). p_increase is None where a zero
+        # spin forces the increase; a bit of no weight leads to the other child.
+        self._nodes: list[tuple[tuple[int, ...], tuple]] = [((), self._root)]
+        self._edges: list[tuple[float | None, int, int] | None] = [None]
 
     def _branch(self, prefix: tuple[int, ...], node):
         """Probability of the increase outcome and both collapsed children."""
@@ -512,26 +523,54 @@ class SequentialPathSampler:
         self._children[prefix] = result
         return result
 
+    def _expand(self, i: int) -> tuple[float | None, int, int]:
+        prefix, (system, two_S) = self._nodes[i]
+        if two_S == 0:
+            # zero prefix spin: the increase is forced, no circuit is run
+            p_increase, children = None, {1: (system, 1)}
+        else:
+            p_increase, children = self._branch(prefix, (system, two_S))
+        ids = {}
+        for bit, child in children.items():
+            ids[bit] = len(self._nodes)
+            self._nodes.append((prefix + (bit,), child))
+            self._edges.append(None)
+        edge = (p_increase, ids.get(0, ids.get(1)), ids.get(1, ids.get(0)))
+        self._edges[i] = edge
+        return edge
+
+    def _walk(self, draw) -> int:
+        """Leaf id of one shot; `draw()` gives one uniform per non-forced step."""
+        edges = self._edges
+        i = 0
+        for _ in range(self.n - 1):
+            p_increase, lo, hi = edges[i] or self._expand(i)
+            i = hi if p_increase is None or draw() < p_increase else lo
+        return i
+
     def sample(self, rng: np.random.Generator) -> ShotRecord:
-        prefix: tuple[int, ...] = ()
-        node = self._root
-        bits = []
-        for j in range(2, self.n + 1):
-            system, two_S = node
-            if two_S == 0:
-                # zero prefix spin: the increase is forced, no circuit is run
-                bits.append(1)
-                node = (system, 1)
-                prefix = prefix + (1,)
-                continue
-            p_increase, children = self._branch(prefix, node)
-            bit = 1 if rng.random() < p_increase else 0
-            if bit not in children:
-                bit = 1 - bit  # the drawn branch carries no weight
-            bits.append(bit)
-            node = children[bit]
-            prefix = prefix + (bit,)
-        return ShotRecord(path=PathLabel.from_bits(bits), post_state=node[0])
+        prefix, (system, _) = self._nodes[self._walk(rng.random)]
+        return ShotRecord(path=PathLabel.from_bits(prefix), post_state=system)
+
+    def path_probabilities(self) -> dict[PathLabel, float]:
+        """Exact probability of every path of nonzero weight.
+
+        Each leaf's weight is the product of its branch probabilities,
+        taken from the root down.
+        """
+        level = {0: 1.0}
+        for _ in range(self.n - 1):
+            deeper = {}
+            for i, prob in level.items():
+                p_increase, lo, hi = self._edges[i] or self._expand(i)
+                for child in {lo, hi}:
+                    if p_increase is None:
+                        deeper[child] = prob
+                    else:
+                        bit = self._nodes[child][0][-1]
+                        deeper[child] = prob * (p_increase if bit else 1 - p_increase)
+            level = deeper
+        return {PathLabel.from_bits(self._nodes[i][0]): prob for i, prob in level.items()}
 
 
 def method_c(state: StateVector, n: int, rng) -> ShotRecord:
@@ -541,17 +580,28 @@ def method_c(state: StateVector, n: int, rng) -> ShotRecord:
     return SequentialPathSampler(state, n).sample(rng)
 
 
+# Generator.random(k) yields the same doubles as k calls of random(), so the
+# chunk size changes no count; it only bounds the list of pending draws.
+_UNIFORM_CHUNK = 4096
+
+
+def _uniforms(rng: np.random.Generator):
+    """The stream of rng.random() values, drawn a chunk at a time."""
+    while True:
+        yield from rng.random(_UNIFORM_CHUNK).tolist()
+
+
 def method_c_counts(state: StateVector, n: int, shots: int, seed: int) -> dict[PathLabel, int]:
     """Aggregate `shots` sequential-filter shots into per-path counts."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     sampler = SequentialPathSampler(state, n)
-    rng = np.random.default_rng(seed)
-    counts: dict[PathLabel, int] = {}
+    draw = _uniforms(np.random.default_rng(seed)).__next__
+    leaves: dict[int, int] = {}
     for _ in range(shots):
-        record = sampler.sample(rng)
-        counts[record.path] = counts.get(record.path, 0) + 1
-    return counts
+        leaf = sampler._walk(draw)
+        leaves[leaf] = leaves.get(leaf, 0) + 1
+    return {PathLabel.from_bits(sampler._nodes[i][0]): c for i, c in leaves.items()}
 
 
 def _reachable_histories(j: int):
@@ -579,14 +629,11 @@ def method_c_deferred_final_state(state: StateVector, n: int) -> tuple[StateVect
 
     for j in range(2, n + 1):
         anc = step_ancilla(j)
-        histories = _reachable_histories(j)
-        # many histories share a prefix spin; build and validate each gate once
-        gates = {two_S: controlled_step_gate(j, n, two_S) for two_S in {s for _, s in histories}}
         apply_gate(joint, Gate(HADAMARD, (anc,)))
-        for bits, two_S_prev in histories:
+        for bits, two_S_prev in _reachable_histories(j):
             controls = [step_ancilla(2 + i) for i in range(len(bits))] + [anc]
             values = list(bits) + [1]
-            apply_controlled(joint, controls, values, gates[two_S_prev])
+            apply_controlled(joint, controls, values, controlled_step_gate(j, n, two_S_prev))
         apply_gate(joint, Gate(HADAMARD, (anc,)))
     return joint, layout
 

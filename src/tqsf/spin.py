@@ -30,6 +30,10 @@ from .statevector import StateVector
 ORACLE_MAX_QUBITS = 12
 CLUSTER_TOL = 1e-8
 EMPTY_COMPONENT_TOL = 1e-12
+# Entries per lru_cache in the package. Repeated perfbench requests reach at
+# most 68 distinct keys of one cache (`_dense_unitary` under
+# `verify --n-max 6`), so a repeated request of those kinds never misses.
+CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -238,7 +242,7 @@ def build_hamming_weight(n: int) -> HammingWeightOperator:
     return HammingWeightOperator(num_qubits=n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def eigen_oracle(op) -> ProjectorSet:
     """Full dense eigendecomposition with eigenvalues clustered at 1e-8.
 
@@ -274,7 +278,7 @@ def eigen_oracle(op) -> ProjectorSet:
     return ProjectorSet(op, tuple(eigenvalues), tuple(projectors))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def eigen_blocks(op: TranspositionSum) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """(indices, eigenvalues, eigenvectors) of each 1-count block of the support matrix.
 
@@ -304,7 +308,7 @@ def spectrum(op) -> tuple[float, ...]:
     return tuple(values)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _joint_projectors(n: int) -> dict[SpinLabel, np.ndarray]:
     """Projectors onto every simultaneous (S, M) eigenspace of n qubits."""
     s2 = eigen_oracle(build_total_spin_squared(n))

@@ -15,7 +15,6 @@ from .errors import AliasingError
 from .evolution import apply_swap_rotation
 from .filtering import (
     DEFAULT_SEED,
-    PathLabel,
     RegisterLayout,
     SequentialPathSampler,
     layout_for,
@@ -219,26 +218,12 @@ def check_deferred_matches_marginal(n: int, seed: int = DEFAULT_SEED) -> Check:
     """
     rng = np.random.default_rng(seed + 200 + n)
     state = random_state(n, rng)
-    marginal: dict = defaultdict(float)
     if n <= 5:
+        marginal: dict = defaultdict(float)
         for o in method_b(state, n, "hj"):
             marginal[o.label] += o.probability
     else:
-        sampler = SequentialPathSampler(state, n)
-
-        def walk(prefix, node, prob):
-            j = len(prefix) + 2
-            if j > n:
-                marginal[PathLabel.from_bits(prefix)] += prob
-                return
-            if node[1] == 0:
-                walk(prefix + (1,), (node[0], 1), prob)
-                return
-            p_inc, children = sampler._branch(prefix, node)
-            for bit, child in children.items():
-                walk(prefix + (bit,), child, prob * (p_inc if bit else 1 - p_inc))
-
-        walk((), sampler._root, 1.0)
+        marginal = SequentialPathSampler(state, n).path_probabilities()
     worst = 0.0
     for o in method_c_deferred(state, n):
         worst = max(worst, abs(marginal.pop(o.label, 0.0) - o.probability))

@@ -442,3 +442,21 @@ def test_block_synthesis_matches_dense_oracle(m):
             # the oracle acts on all op.num_qubits qubits; the spectator is identity
             embedded = np.kron(np.eye(1 << (op.num_qubits - m)), matrix)
             assert np.max(np.abs(embedded - expected)) < 1e-12
+
+
+def test_every_lru_cache_is_bounded():
+    import importlib
+    import pkgutil
+
+    import tqsf
+
+    caches = {}
+    for info in pkgutil.iter_modules(tqsf.__path__):
+        module = importlib.import_module(f"tqsf.{info.name}")
+        for owner in [module, *(v for v in vars(module).values() if isinstance(v, type))]:
+            for name, value in vars(owner).items():
+                if hasattr(value, "cache_parameters"):
+                    caches[name] = value.cache_parameters()["maxsize"]
+    assert {"_dense_unitary", "eigen_blocks", "eigen_oracle", "_joint_projectors",
+            "controlled_step_gate"} <= set(caches)
+    assert all(maxsize is not None for maxsize in caches.values()), caches

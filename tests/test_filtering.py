@@ -3,6 +3,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqsf.errors import AliasingError, CapacityError, DecodeError
 from tqsf.evolution import total_spin_phase_unitary, z_phase_unitary
@@ -12,6 +14,7 @@ from tqsf.filtering import (
     SequentialPathSampler,
     _check_register,
     _path_unitary,
+    _UNIFORM_CHUNK,
     decode_outcome,
     layout_for,
     method_a,
@@ -20,6 +23,7 @@ from tqsf.filtering import (
     method_c,
     method_c_counts,
     method_c_deferred,
+    method_c_deferred_final_state,
     qft,
     run_filter,
     run_qpe,
@@ -532,6 +536,160 @@ def test_method_c_post_state_is_path_eigenstate():
             assert np.linalg.norm(dense @ psi - val * psi) < 1e-8
 
 
+def _reference_shot(sampler, rng):
+    """The per-shot walk, the bit-level reference of the sampler's table walk.
+
+    One rng.random() per level whose running spin is nonzero; a zero spin
+    forces an increase without a draw, and a drawn child that carries no
+    weight flips to the other child.
+    """
+    prefix, node = (), sampler._root
+    for _ in range(2, sampler.n + 1):
+        system, two_S = node
+        if two_S == 0:
+            bit, node = 1, (system, 1)
+        else:
+            p_increase, children = sampler._branch(prefix, node)
+            bit = 1 if rng.random() < p_increase else 0
+            if bit not in children:
+                bit = 1 - bit
+            node = children[bit]
+        prefix += (bit,)
+    return PathLabel.from_bits(prefix), node[0]
+
+
+class _CountedDraws:
+    """A generator's random() that counts its calls."""
+
+    def __init__(self, seed):
+        self.rng, self.count = np.random.default_rng(seed), 0
+
+    def random(self):
+        self.count += 1
+        return self.rng.random()
+
+
+def _reference_counts(state, n, shots, rng):
+    sampler = SequentialPathSampler(state, n)
+    counts = {}
+    for _ in range(shots):
+        path, _ = _reference_shot(sampler, rng)
+        counts[path] = counts.get(path, 0) + 1
+    return counts
+
+
+def _assert_counts_match_reference(state, n, shots, seed):
+    got = method_c_counts(state, n, shots, seed)
+    expected = _reference_counts(state, n, shots, np.random.default_rng(seed))
+    # same counts, and the paths in the order of their first shot
+    assert list(got.items()) == list(expected.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.integers(1, 400), st.integers(0, 2**32 - 1))
+def test_method_c_counts_match_per_shot_reference_on_random_states(n, state_seed, shots, seed):
+    state = random_state(n, np.random.default_rng(state_seed))
+    _assert_counts_match_reference(state, n, shots, seed)
+
+
+def _singlet_prefix_state(n):
+    """(|01> - |10>)/sqrt(2) on qubits 0, 1 times |+...+>: the prefix spin hits 0."""
+    singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
+    plus = np.full(1 << (n - 2), 0.5 ** ((n - 2) / 2))
+    return StateVector(np.kron(plus, singlet))
+
+
+@pytest.mark.parametrize(
+    "state, n, shots",
+    [
+        (hadamard_x13_state(4), 4, 3000),
+        (new_basis_state(6, "000000"), 6, 500),  # p_increase < 1, decrease pruned
+        (_singlet_prefix_state(5), 5, 2000),  # step 3 is a forced increase
+        (hadamard_x13_state(4), 4, 1),
+    ],
+)
+def test_method_c_counts_match_per_shot_reference(state, n, shots):
+    _assert_counts_match_reference(state, n, shots, seed=8)
+
+
+@pytest.mark.parametrize(
+    "shots", [_UNIFORM_CHUNK // 3, _UNIFORM_CHUNK // 3 + 1, 2 * _UNIFORM_CHUNK // 3 + 1, 4100]
+)
+def test_method_c_counts_match_reference_across_chunk_boundaries(shots):
+    # qubits 0 and 1 in |++>: the first step always increases, so no spin
+    # reaches 0 and every shot takes 3 draws; the shot counts end one draw
+    # short of the first chunk, straddle it, and cross two and three chunks
+    pair = np.full(4, 0.5)
+    state = StateVector(np.kron(random_state(2, np.random.default_rng(70)).amplitudes, pair))
+    draws = _CountedDraws(9)
+    expected = _reference_counts(state, 4, shots, draws)
+    assert draws.count == 3 * shots
+    assert list(method_c_counts(state, 4, shots, seed=9).items()) == list(expected.items())
+
+
+def test_sample_matches_per_shot_reference():
+    state = random_state(5, np.random.default_rng(71))
+    sampler, reference = SequentialPathSampler(state, 5), SequentialPathSampler(state, 5)
+    rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
+    for _ in range(50):
+        record = sampler.sample(rng)
+        path, post = _reference_shot(reference, ref_rng)
+        assert record.path == path
+        assert np.array_equal(record.post_state.amplitudes, post.amplitudes)
+    assert rng.random() == ref_rng.random()  # both consumed the same draws
+
+
+def test_sample_flips_a_drawn_branch_that_carries_no_weight():
+    class Scripted:
+        """Draws just below 1: every non-forced step draws a decrease."""
+
+        def random(self):
+            return np.nextafter(1.0, 0.0)
+
+    state = new_basis_state(6, "000000")
+    sampler = SequentialPathSampler(state, 6)
+    p_increase, children = sampler._branch((), sampler._root)
+    assert p_increase < np.nextafter(1.0, 0.0) and set(children) == {1}
+    record = sampler.sample(Scripted())
+    path, post = _reference_shot(SequentialPathSampler(state, 6), Scripted())
+    assert record.path == path == PathLabel.from_bits((1,) * 5)
+    assert np.array_equal(record.post_state.amplitudes, post.amplitudes)
+
+
+def test_method_c_counts_builds_one_label_per_path(monkeypatch):
+    built = []
+    original = PathLabel.__post_init__
+    monkeypatch.setattr(PathLabel, "__post_init__",
+                        lambda self: built.append(1) or original(self))
+    counts = method_c_counts(random_state(6, np.random.default_rng(72)), 6, 3000, seed=4)
+    assert len(built) <= len(counts)
+
+
+def test_method_c_counts_simulates_each_branch_once(monkeypatch):
+    calls = defaultdict(int)
+    original = SequentialPathSampler._branch
+
+    def counted(self, prefix, node):
+        calls[prefix] += 1
+        return original(self, prefix, node)
+
+    monkeypatch.setattr(SequentialPathSampler, "_branch", counted)
+    method_c_counts(random_state(6, np.random.default_rng(73)), 6, 3000, seed=5)
+    assert calls and max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_path_probabilities_match_method_b_marginal(n):
+    state = random_state(n, np.random.default_rng(80 + n))
+    marginal = defaultdict(float)
+    for o in method_b(state, n, "hj"):
+        marginal[o.label] += o.probability
+    exact = SequentialPathSampler(state, n).path_probabilities()
+    assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+    for label in set(marginal) | set(exact):
+        assert exact.get(label, 0.0) == pytest.approx(marginal.get(label, 0.0), abs=1e-10)
+
+
 # -------------------------------------------------------- method C deferred
 
 
@@ -573,6 +731,23 @@ def test_deferred_matches_sequential_tree(n):
     assert set(deferred) == {k for k, v in tree.items() if v > 1e-12}
     for label, p in deferred.items():
         assert p == pytest.approx(tree[label], abs=1e-10)
+
+
+def test_deferred_step_gates_are_validated_once_per_process(monkeypatch):
+    state = random_state(5, np.random.default_rng(61))
+    first = method_c_deferred_final_state(state, 5)[0].amplitudes
+    multi_qubit = []
+    original = Gate.__init__
+
+    def counted(self, matrix, targets):
+        if len(tuple(targets)) > 1:
+            multi_qubit.append(tuple(targets))
+        original(self, matrix, targets)
+
+    monkeypatch.setattr(Gate, "__init__", counted)
+    again = method_c_deferred_final_state(state, 5)[0].amplitudes
+    assert multi_qubit == []  # every step gate came from the cache
+    assert np.array_equal(first, again)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
