@@ -1,0 +1,105 @@
+"""Check that two source trees of tqsf produce byte-identical CLI outputs.
+
+Usage:  python scripts/same_output.py OLD_ROOT NEW_ROOT
+
+Each root is a checkout of this repository. Every configuration below runs
+as `python -m tqsf.cli` in a subprocess with PYTHONPATH=<root>/src, inside
+a fresh output directory per tree, so the two runs differ only in the
+source they import. The exit code, stdout and every written file are
+compared byte for byte, except the value of `metadata.timestamp` in the
+run JSON. Every differing configuration is printed; the exit status is 1
+on any difference and 0 when all outputs match.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+METHODS = ("a", "b-s2j", "b-hj", "c", "c-deferred")
+TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+
+
+def _configs(state_file):
+    """(name, argv) pairs; `state_file(n)` is the path of the seeded n-qubit state."""
+    runs = [(m, 4, "hadamard-x13", 2000, ()) for m in METHODS]
+    runs += [(m, 5, 5, 20000, ()) for m in METHODS]
+    runs += [
+        ("a", 10, 10, 100000, ()),
+        ("c", 10, 10, 20000, ()),
+        ("c-deferred", 8, 8, 100000, ()),
+        ("a", 8, 8, 2000, ("--mode", "trotter", "--trotter-steps", "16")),
+        ("b-s2j", 4, 4, 2000, ("--mode", "trotter", "--trotter-steps", "16")),
+        ("b-hj", 4, 4, 2000, ("--mode", "trotter")),
+        ("a", 5, 5, 2000, ("--mode", "trotter", "--trotter-steps", "3")),
+    ]
+    for method, n, state, shots, extra in runs:
+        name = "-".join(["run", method, f"n{n}", str(state), str(shots),
+                         *(arg.lstrip("-") for arg in extra)])
+        if isinstance(state, int):
+            state = f"@{state_file(state)}"
+        yield name, ["run", "--n", str(n), "--state", state, "--method", method,
+                     "--shots", str(shots), *extra,
+                     "--out", f"{name}.json", "--csv", f"{name}.csv"]
+    yield "verify-n6", ["verify", "--n-max", "6"]
+    yield "rng-demo-n12", ["rng-demo", "--n", "12", "--shots", "5000", "--out", "rng.csv"]
+
+
+def _write_state(path: Path, n: int) -> None:
+    """Seeded random n-qubit state, one 'real imag' pair per line."""
+    rng = np.random.default_rng(100 + n)
+    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    amps /= np.linalg.norm(amps)
+    path.write_text("".join(f"{float(a.real)!r} {float(a.imag)!r}\n" for a in amps))
+
+
+def _run(root: Path, argv: list[str], workdir: Path) -> dict[str, bytes]:
+    """Exit code, stdout and written files of one CLI call."""
+    workdir.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tqsf.cli", *argv], cwd=workdir,
+                          env=env, capture_output=True)
+    out = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout}
+    for path in sorted(workdir.iterdir()):
+        out[path.name] = TIMESTAMP.sub(b'"timestamp": ""', path.read_bytes())
+    return out
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    old_root, new_root = (Path(a).resolve() for a in args)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+
+        def state_file(n: int) -> Path:
+            path = tmp / f"state-n{n}.txt"
+            if not path.exists():
+                _write_state(path, n)
+            return path
+
+        configs = list(_configs(state_file))
+        differing = []
+        for name, cli_args in configs:
+            old = _run(old_root, cli_args, tmp / "old" / name)
+            new = _run(new_root, cli_args, tmp / "new" / name)
+            if old != new:
+                keys = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+                differing.append(name)
+                print(f"DIFFERS {name}: {', '.join(keys)}")
+            elif old["exit"] != b"0":
+                print(f"same    {name} (both exit {old['exit'].decode()})")
+    print(f"{len(configs) - len(differing)} of {len(configs)} configurations identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

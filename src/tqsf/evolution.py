@@ -12,7 +12,9 @@ than repeating the circuit.
 
 Every kernel mutates ``state.amplitudes`` in place through strided views of
 its (2,)*q qubit tensor and never rebinds it; a controlled kernel works on
-the view where the control reads 1.
+the view where the control reads 1. Both views come from the
+`statevector._fix` selector, which keeps the control's axis with length 1,
+so qubit indices mean the same axes in the plain and the controlled case.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .spin import (
     _step_sum,
     eigen_blocks,
 )
-from .statevector import Gate, StateVector, _apply_matrix, _check_qubits
+from .statevector import Gate, StateVector, _apply_matrix, _check_qubits, _fix, _tensor
 
 
 @dataclass(frozen=True)
@@ -69,45 +71,19 @@ def _hamming_phases(op: HammingWeightOperator, phase_scale: float) -> np.ndarray
     return phases.reshape((2,) * op.num_qubits)
 
 
-def _qubit_view(state: StateVector, control: int | None = None) -> np.ndarray:
-    """The amplitudes as a (2,)*q view, qubit k on axis ndim-1-k.
-
-    With a control, the view is the slice where `control` reads 1; qubits
-    above the control then sit one rank lower in it.
-    """
-    q = state.num_qubits
-    t = state.amplitudes.reshape((2,) * q)
-    if control is None:
-        return t
-    return t[(slice(None),) * (q - 1 - control) + (1, ...)]
-
-
 def _pair_rotate(t: np.ndarray, alpha: float, i: int, j: int) -> None:
     """t <- cos(alpha) t + i sin(alpha) SWAP_ij t on the qubit tensor `t`; in place.
 
     SWAP fixes the 00/11 blocks of qubits (i, j) and exchanges 01 with 10.
     """
     c, s = np.cos(alpha), 1j * np.sin(alpha)
-
-    def block(bit_i, bit_j):
-        sel = [slice(None)] * t.ndim
-        sel[t.ndim - 1 - i], sel[t.ndim - 1 - j] = bit_i, bit_j
-        return t[(*sel, ...)]  # a view even when it holds one amplitude
-
-    for same in (block(0, 0), block(1, 1)):
+    for bit in (0, 1):
+        same = _fix(t, {i: bit, j: bit})
         same[...] = c * same + s * same
-    lo, hi = block(0, 1), block(1, 0)
+    lo, hi = _fix(t, {i: 0, j: 1}), _fix(t, {i: 1, j: 0})
     lo_old = lo.copy()
     lo[...] = c * lo + s * hi
     hi[...] = c * hi + s * lo_old
-
-
-def _controlled_swap_rotation(state, alpha, i, j, control=None):
-    """SWAP rotation on the branch where `control` reads 1 (everywhere if None)."""
-    if control is not None:
-        i, j = i - (i > control), j - (j > control)
-    _pair_rotate(_qubit_view(state, control), alpha, i, j)
-    return state
 
 
 def apply_swap_rotation(state: StateVector, alpha: float, i: int, j: int) -> StateVector:
@@ -115,7 +91,8 @@ def apply_swap_rotation(state: StateVector, alpha: float, i: int, j: int) -> Sta
     if i == j:
         raise ValueError("swap rotation requires two distinct qubits")
     _check_qubits(state, (i, j))
-    return _controlled_swap_rotation(state, alpha, i, j)
+    _pair_rotate(_tensor(state.amplitudes, state.num_qubits), alpha, i, j)
+    return state
 
 
 def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
@@ -133,7 +110,7 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
         raise ValueError("control qubit overlaps the operator's qubits")
     controls = () if control is None else (control,)
     _check_qubits(state, qubits + controls)
-    view = _qubit_view(state, control)
+    view = _fix(_tensor(state.amplitudes, state.num_qubits), dict.fromkeys(controls, 1))
     if isinstance(op, HammingWeightOperator):
         # diagonal in either mode: a product of single-qubit phases, nothing to split
         view *= _hamming_phases(op, scale)
@@ -146,9 +123,7 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
         order = sorted(zip(op.pairs, op.pair_coefficients))
         for _ in range(steps):
             for (i, j), c in order:
-                _controlled_swap_rotation(
-                    state, 2 * np.pi * scale * c / (op.denominator * steps), i, j, control
-                )
+                _pair_rotate(view, 2 * np.pi * scale * c / (op.denominator * steps), i, j)
     else:
         matrix, support = _dense_unitary(op, scale)
         if not support:

@@ -48,7 +48,9 @@ from .statevector import (
     PRUNE_TOL,
     Gate,
     StateVector,
+    _fix,
     _marginal,
+    _tensor,
     apply_controlled,
     apply_gate,
     format_bits,
@@ -200,12 +202,7 @@ def _embed(state: StateVector, layout: RegisterLayout) -> StateVector:
 
 def _extract_system(joint: StateVector, layout: RegisterLayout, outcome_bits: dict[int, int]) -> StateVector:
     """System amplitudes once every ancilla qubit has a definite bit."""
-    q = joint.num_qubits
-    t = joint.amplitudes.reshape((2,) * q)
-    sel = [slice(None)] * q
-    for qb, bit in outcome_bits.items():
-        sel[q - 1 - qb] = bit
-    sub = np.ascontiguousarray(t[tuple(sel)]).reshape(-1)
+    sub = _fix(_tensor(joint.amplitudes, joint.num_qubits), outcome_bits).reshape(-1)
     norm = np.linalg.norm(sub)
     return StateVector(sub / norm, copy=False)
 
@@ -487,8 +484,6 @@ class SequentialPathSampler:
     def __init__(self, state: StateVector, n: int):
         if state.num_qubits != n:
             raise ValueError("state size does not match n")
-        if n < 2:
-            raise ValueError("sequential filtering needs n >= 2")
         self.n = n
         self._layout = layout_for(n, "c")
         self._root = (state.copy(), 1)  # (system state, two_S)
@@ -619,8 +614,6 @@ def _reachable_histories(j: int):
 
 def method_c_deferred_final_state(state: StateVector, n: int) -> tuple[StateVector, RegisterLayout]:
     """Pre-measurement state of the deferred sequential filter circuit."""
-    if n < 2:
-        raise ValueError("deferred sequential filtering needs n >= 2")
     layout = layout_for(n, "c-deferred")
     joint = _embed(state, layout)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import warnings
 
 import numpy as np
@@ -58,7 +59,10 @@ def load_amplitudes(path, n: int) -> StateVector:
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{line_no}: expected 'real imag', got {line!r}")
-            values.append(complex(float(parts[0]), float(parts[1])))
+            value = complex(float(parts[0]), float(parts[1]))
+            if not cmath.isfinite(value):
+                raise ValueError(f"{path}:{line_no}: amplitude {line!r} is not finite")
+            values.append(value)
     if len(values) != 1 << n:
         raise ValueError(f"{path}: expected {1 << n} amplitudes for n={n}, got {len(values)}")
     amps = np.array(values, dtype=np.complex128)

@@ -12,6 +12,11 @@ Gates are applied by reshaping the amplitude array into a rank-q tensor and
 contracting the gate matrix over the target axes; the full 2^q x 2^q
 embedded matrix is never formed.
 
+`_tensor` and `_fix` own the qubit-to-axis convention (qubit k on axis
+q-1-k): `_fix` holds listed qubits at given bits with length-1 slices, so
+a controlled or collapsed slice keeps every other qubit on its axis and
+no caller re-ranks axes.
+
 In-place contract, shared with ``tqsf.evolution``: every kernel mutates
 ``state.amplitudes`` through views of that tensor and never rebinds it, so
 a view of the amplitudes taken before a call sees the call's update.
@@ -54,6 +59,8 @@ class StateVector:
         if q > MAX_QUBITS:
             raise CapacityError(f"{q} qubits exceeds the {MAX_QUBITS}-qubit exact-mode limit")
         norm = np.linalg.norm(amps)
+        if not np.isfinite(norm):
+            raise ValueError(f"state norm {norm!r} is not finite")
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
         self.amplitudes = amps
@@ -119,6 +126,10 @@ def new_basis_state(num_qubits: int, bitstring: str) -> StateVector:
     """Computational basis state from a bitstring (most-significant qubit first)."""
     if num_qubits < 1:
         raise ValueError("num_qubits must be >= 1")
+    if num_qubits > MAX_QUBITS:
+        raise CapacityError(
+            f"{num_qubits} qubits exceeds the {MAX_QUBITS}-qubit exact-mode limit"
+        )
     if len(bitstring) != num_qubits or any(c not in "01" for c in bitstring):
         raise ValueError(f"bitstring {bitstring!r} does not describe {num_qubits} qubits")
     index = int(bitstring, 2)
@@ -133,29 +144,39 @@ def _check_qubits(state: StateVector, qubits) -> None:
             raise ValueError(f"qubit index {q} out of range for {state.num_qubits} qubits")
 
 
+def _tensor(amps: np.ndarray, num_qubits: int) -> np.ndarray:
+    """The flat amplitudes as a (2,)*q view; qubit k sits on axis q-1-k."""
+    return amps.reshape((2,) * num_qubits)
+
+
+_BIT = (slice(0, 1), slice(1, 2))  # length-1 slices, built once: kernels call _fix per block
+
+
+def _fix(t: np.ndarray, fixed) -> np.ndarray:
+    """View of the qubit tensor `t` with each qubit of `fixed` ({qubit: bit}) held at its bit.
+
+    A fixed qubit keeps its axis with length 1, so the view has t's rank and
+    every qubit stays on axis ndim-1-qubit. Qubits are not range-checked.
+    """
+    sel = [slice(None)] * t.ndim
+    for qubit, bit in fixed.items():
+        sel[-1 - qubit] = _BIT[bit]  # axis ndim-1-qubit, counted from the end
+    return t[tuple(sel)]
+
+
 def _apply_matrix(amps, num_qubits, matrix, targets, controls=(), control_values=()):
     """Contract `matrix` over the target axes, optionally on a control slice.
 
     Operates in place on `amps` (flat view of the state).
     """
-    q = num_qubits
     k = len(targets)
-    t = amps.reshape((2,) * q)
-    sel = [slice(None)] * q
-    for cq, cv in zip(controls, control_values):
-        sel[q - 1 - cq] = int(cv)
-    sel = tuple(sel)
-    sub = t[sel]
-    control_axes = {q - 1 - cq for cq in controls}
-    remaining = [ax for ax in range(q) if ax not in control_axes]
+    sub = _fix(_tensor(amps, num_qubits), dict(zip(controls, control_values)))
     # axis of target bit i must land at front position k-1-i so that the
     # flattened leading index reads the targets little-endian
-    src = [remaining.index(q - 1 - targets[k - 1 - i]) for i in range(k)]
+    src = [num_qubits - 1 - qb for qb in reversed(targets)]
     moved = np.moveaxis(sub, src, range(k))
-    shape = moved.shape
-    flat = moved.reshape(1 << k, -1)
-    out = matrix @ flat
-    t[sel] = np.moveaxis(out.reshape(shape), range(k), src)
+    out = matrix @ moved.reshape(1 << k, -1)
+    sub[...] = np.moveaxis(out.reshape(moved.shape), range(k), src)
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -196,26 +217,21 @@ def apply_controlled(
 def _marginal(state: StateVector, qubits) -> np.ndarray:
     """Probability vector over the listed qubits, qubits[0] = LSB of the index."""
     q = state.num_qubits
-    p = state.probabilities().reshape((2,) * q)
-    keep = [q - 1 - qb for qb in qubits]
-    other = tuple(ax for ax in range(q) if ax not in set(keep))
+    p = _tensor(state.probabilities(), q)
+    keep = [q - 1 - qb for qb in reversed(qubits)]  # qubits[-1] leads the index
+    other = tuple(ax for ax in range(q) if ax not in keep)
     if other:
-        p = p.sum(axis=other)
-    remaining = sorted(keep)
-    order = [remaining.index(q - 1 - qb) for qb in reversed(qubits)]
-    return np.transpose(p, order).reshape(-1)
+        p = p.sum(axis=other, keepdims=True)  # summed qubits keep length-1 axes
+    return np.transpose(p, keep + list(other)).reshape(-1)
 
 
 def _collapse(state: StateVector, qubits, outcome: int, probability: float) -> StateVector:
     """Project onto `qubits` reading `outcome` and renormalize, in place."""
-    q = state.num_qubits
-    t = state.amplitudes.reshape((2,) * q)
-    sel = [slice(None)] * q
-    for i, qb in enumerate(qubits):
-        sel[q - 1 - qb] = (outcome >> i) & 1
-    kept = np.array(t[tuple(sel)], copy=True)
+    t = _tensor(state.amplitudes, state.num_qubits)
+    view = _fix(t, {qb: (outcome >> i) & 1 for i, qb in enumerate(qubits)})
+    kept = view.copy()
     t[...] = 0.0
-    t[tuple(sel)] = kept / np.sqrt(probability)
+    view[...] = kept / np.sqrt(probability)
     return state
 
 

@@ -213,6 +213,27 @@ def test_capacity_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--n", "40", "--method", "a"],
+    ["rng-demo", "--n", "40", "--shots", "10"],
+])
+def test_oversized_n_exits_3_before_allocating(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path / "x.out")]) == 3
+
+
+@pytest.mark.parametrize("bad", ["nan 0", "inf 0", "0 -inf"])
+@pytest.mark.parametrize("method", ["a", "c"])
+def test_run_rejects_non_finite_amplitude_file(tmp_path, capsys, bad, method):
+    amps = tmp_path / "state.txt"
+    amps.write_text(bad + "\n" + "0 0\n" * 15)
+    rc = main([
+        "run", "--n", "4", "--state", f"@{amps}", "--method", method,
+        "--shots", "100", "--out", str(tmp_path / "x.json"),
+    ])
+    assert rc == 2
+    assert "state.txt:1:" in capsys.readouterr().err
+
+
 def test_layout_reports_reference_sizes(capsys):
     rc = main(["layout", "--n", "4", "--method", "a"])
     assert rc == 0

@@ -6,8 +6,8 @@ from scipy.linalg import expm
 
 from tqsf.evolution import (
     PhaseUnitary,
-    _controlled_swap_rotation,
     _dense_unitary,
+    _pair_rotate,
     apply_controlled_phase_unitary,
     apply_exact,
     apply_swap_rotation,
@@ -28,7 +28,15 @@ from tqsf.spin import (
     spin_register_size,
 )
 from tqsf.states import hadamard_state, random_state
-from tqsf.statevector import HADAMARD, Gate, StateVector, apply_gate, new_basis_state
+from tqsf.statevector import (
+    HADAMARD,
+    Gate,
+    StateVector,
+    _fix,
+    _tensor,
+    apply_gate,
+    new_basis_state,
+)
 
 
 def test_z_unitary_phases_basis_states():
@@ -280,7 +288,7 @@ def test_swap_rotation_kernel_is_bit_identical_to_index_reference(i, j, control)
     if control is None:
         apply_swap_rotation(state, 0.37, i, j)
     else:
-        _controlled_swap_rotation(state, 0.37, i, j, control)
+        _pair_rotate(_fix(_tensor(state.amplitudes, 12), {control: 1}), 0.37, i, j)
     assert np.array_equal(state.amplitudes, expected)
 
 

@@ -690,6 +690,16 @@ def test_path_probabilities_match_method_b_marginal(n):
         assert exact.get(label, 0.0) == pytest.approx(marginal.get(label, 0.0), abs=1e-10)
 
 
+@pytest.mark.parametrize("run", [
+    lambda state: method_c(state, 1, rng=0),
+    lambda state: method_c_counts(state, 1, 10, seed=0),
+    lambda state: method_c_deferred(state, 1),
+], ids=["method_c", "method_c_counts", "method_c_deferred"])
+def test_sequential_methods_reject_one_qubit(run):
+    with pytest.raises(ValueError, match="requires n >= 2"):
+        run(new_basis_state(1, "0"))
+
+
 # -------------------------------------------------------- method C deferred
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqsf.statevector import (
     HADAMARD,
@@ -7,6 +9,8 @@ from tqsf.statevector import (
     SWAP,
     Gate,
     StateVector,
+    _fix,
+    _tensor,
     apply_controlled,
     apply_gate,
     measure,
@@ -224,3 +228,37 @@ def test_state_vector_rejects_unnormalized():
 def test_state_vector_rejects_bad_length():
     with pytest.raises(ValueError):
         StateVector(np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_state_vector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        StateVector(np.array([bad, 0.0, 0.0, 0.0]))
+
+
+@st.composite
+def fixed_qubits(draw):
+    q = draw(st.integers(1, 8))
+    qubits = draw(st.lists(st.integers(0, q - 1), max_size=q, unique=True))
+    bits = draw(st.lists(st.integers(0, 1), min_size=len(qubits), max_size=len(qubits)))
+    return q, dict(zip(qubits, bits))
+
+
+@settings(deadline=None)
+@given(fixed_qubits(), st.integers(0, 2**32 - 1))
+def test_fix_selects_matching_amplitudes_in_place(case, seed):
+    q, fixed = case
+    state = random_state(q, np.random.default_rng(seed))
+    amps = state.amplitudes
+    view = _fix(_tensor(amps, q), fixed)
+    assert view.ndim == q
+    for qb in range(q):
+        assert view.shape[q - 1 - qb] == (1 if qb in fixed else 2)
+    idx = np.arange(amps.size)
+    match = np.ones(amps.size, dtype=bool)
+    for qb, bit in fixed.items():
+        match &= ((idx >> qb) & 1) == bit
+    assert np.array_equal(view.reshape(-1), amps[match])
+    view[...] = -1.0
+    assert np.all(state.amplitudes[match] == -1.0)
+    assert not np.any(state.amplitudes[~match] == -1.0)
