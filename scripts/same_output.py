@@ -7,12 +7,16 @@ as `python -m tqsf.cli` in a subprocess with PYTHONPATH=<root>/src, inside
 a fresh output directory per tree, so the two runs differ only in the
 source they import. The exit code, stdout and every written file are
 compared byte for byte, except the value of `metadata.timestamp` in the
-run JSON. Every differing configuration is printed; the exit status is 1
-on any difference and 0 when all outputs match.
+run JSON. Every differing configuration is printed; when its run JSON
+differs, a second line gives the largest |probability difference| over its
+rows, whether labels and `raw_bits` agree row for row, and how many
+sampled counts moved. The exit status is 1 on any difference and 0 when
+all outputs match.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -71,6 +75,31 @@ def _run(root: Path, argv: list[str], workdir: Path) -> dict[str, bytes]:
     return out
 
 
+def _rows_detail(old: bytes, new: bytes) -> str:
+    """Row-by-row summary of two run result documents."""
+    old_rows, new_rows = (json.loads(doc)["outcomes"] for doc in (old, new))
+
+    def keyed(rows):
+        return {tuple(sorted(row["raw_bits"].items())): row for row in rows}
+
+    a, b = keyed(old_rows), keyed(new_rows)
+    common = [key for key in a if key in b]
+    agree = ([(r["label"], r["raw_bits"]) for r in old_rows]
+             == [(r["label"], r["raw_bits"]) for r in new_rows])
+    dp = max((abs(a[k]["probability"] - b[k]["probability"]) for k in common), default=0.0)
+    moved = [k for k in common if a[k].get("count") != b[k].get("count")]
+    shots = sum(abs(a[k].get("count", 0) - b[k].get("count", 0)) for k in moved) // 2
+    rows = ("labels and raw_bits agree row for row" if agree else
+            f"labels or raw_bits differ ({len(old_rows)} -> {len(new_rows)} rows, "
+            f"{len(common)} common)")
+    detail = f"max |dprobability| {dp:.3g} over {len(common)} rows; {rows}; "
+    if not moved:
+        return detail + "no count moved"
+    changes = ", ".join(f"{a[k]['label_text']} {a[k].get('count')} -> {b[k].get('count')}"
+                        for k in moved)
+    return detail + f"counts moved on {len(moved)} rows, {shots} shots: {changes}"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -95,6 +124,9 @@ def main(argv=None) -> int:
                 keys = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
                 differing.append(name)
                 print(f"DIFFERS {name}: {', '.join(keys)}")
+                result = f"{name}.json"
+                if result in keys and result in old and result in new:
+                    print(f"        {_rows_detail(old[result], new[result])}")
             elif old["exit"] != b"0":
                 print(f"same    {name} (both exit {old['exit'].decode()})")
     print(f"{len(configs) - len(differing)} of {len(configs)} configurations identical")

@@ -10,6 +10,13 @@ applied first order in a fixed lexicographic pair order.  Controlled-power
 applications — the building blocks of phase estimation — scale alpha rather
 than repeating the circuit.
 
+Every SWAP rotation keeps the 1-count, so a trotter power is fused per
+weight block (gate fusion as in Häner & Steiger, SC'17, arXiv:1704.01127):
+one sweep of rotations is built on each block's identity, raised to
+`trotter_steps` and cached (`_trotter_blocks`), and the blocks are applied
+to the state in one `_apply_matrix` call, as exact mode applies its dense
+matrix. Per-pair rotations act on a state only through `apply_swap_rotation`.
+
 Every kernel mutates ``state.amplitudes`` in place through strided views of
 its (2,)*q qubit tensor and never rebinds it; a controlled kernel works on
 the view where the control reads 1. Both views come from the
@@ -64,6 +71,35 @@ def _dense_unitary(op: TranspositionSum, phase_scale: float) -> tuple[np.ndarray
     return out, support
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _trotter_blocks(op: TranspositionSum, scale: float,
+                    steps: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """First-order trotter form of exp(2*pi*i * scale * op), one weight block at a time.
+
+    Per block of `spin.eigen_blocks(op)`, one sweep of the per-pair
+    rotations in lexicographic (i, j) order is built on the block's
+    identity and raised to `steps`; the identity part, which commutes with
+    everything, enters as one exact phase. Returns (indices, block) pairs
+    over the support index, the block form `_apply_matrix` takes.
+    """
+    rank = {q: r for r, q in enumerate(op.support)}
+    order = [(rank[i], rank[j], 2 * np.pi * scale * c / (op.denominator * steps))
+             for (i, j), c in sorted(zip(op.pairs, op.pair_coefficients))]
+    phase = np.exp(2j * np.pi * scale * op.identity_coefficient / op.denominator)
+    pos = np.empty(1 << len(rank), dtype=np.intp)  # support index -> row in its block
+    blocks = []
+    for idx, _, _ in eigen_blocks(op):
+        pos[idx] = np.arange(len(idx))
+        sweep = np.eye(len(idx), dtype=np.complex128)
+        for ri, rj, a in order:
+            # SWAP maps a row to the one with support bits ri and rj exchanged
+            differ = ((idx >> ri) ^ (idx >> rj)) & 1
+            partner = pos[idx ^ ((differ << ri) | (differ << rj))]
+            sweep = np.cos(a) * sweep + (1j * np.sin(a)) * sweep[partner]
+        blocks.append((idx, phase * np.linalg.matrix_power(sweep, steps)))
+    return tuple(blocks)
+
+
 def _hamming_phases(op: HammingWeightOperator, phase_scale: float) -> np.ndarray:
     """Phases on the system qubits as a (2,)*n tensor; the weight depends only
     on the low (system) bits, so it broadcasts over any qubit tensor's trailing axes."""
@@ -99,9 +135,9 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
             control: int | None = None) -> StateVector:
     """U^power on the branch where `control` reads 1 (everywhere if None); in place.
 
-    Trotter mode applies the identity part, which commutes with everything,
-    as one exact phase; each of `trotter_steps` sweeps then applies the
-    per-pair rotations in lexicographic (i, j) order.
+    Exact mode applies the dense spectral unitary; trotter mode applies the
+    fused per-block powers of `_trotter_blocks`. Both go through one
+    `_apply_matrix` call on the control slice.
     """
     op = spec.operator
     scale = spec.alpha * power
@@ -114,23 +150,18 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
     if isinstance(op, HammingWeightOperator):
         # diagonal in either mode: a product of single-qubit phases, nothing to split
         view *= _hamming_phases(op, scale)
-    elif mode == "trotter":
-        steps = spec.trotter_steps
-        if steps < 1:
+        return state
+    if mode == "trotter":
+        if spec.trotter_steps < 1:
             raise ValueError("trotter_steps must be >= 1")
-        if op.identity_coefficient:
-            view *= np.exp(2j * np.pi * scale * op.identity_coefficient / op.denominator)
-        order = sorted(zip(op.pairs, op.pair_coefficients))
-        for _ in range(steps):
-            for (i, j), c in order:
-                _pair_rotate(view, 2 * np.pi * scale * c / (op.denominator * steps), i, j)
+        matrix = _trotter_blocks(op, scale, spec.trotter_steps)
     else:
-        matrix, support = _dense_unitary(op, scale)
-        if not support:
+        matrix = _dense_unitary(op, scale)[0]
+        if not qubits:
             view *= matrix[0, 0]
-        else:
-            _apply_matrix(state.amplitudes, state.num_qubits, matrix, support,
-                          controls, (1,) * len(controls))
+            return state
+    _apply_matrix(state.amplitudes, state.num_qubits, matrix, qubits,
+                  controls, (1,) * len(controls))
     return state
 
 

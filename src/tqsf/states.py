@@ -7,7 +7,16 @@ import warnings
 
 import numpy as np
 
-from .statevector import HADAMARD, PAULI_X, Gate, StateVector, apply_gate, new_basis_state
+from .errors import CapacityError
+from .statevector import (
+    HADAMARD,
+    MAX_QUBITS,
+    PAULI_X,
+    Gate,
+    StateVector,
+    apply_gate,
+    new_basis_state,
+)
 
 PRESETS = ("hadamard", "hadamard-x13")
 
@@ -49,7 +58,12 @@ def random_state(n: int, rng: np.random.Generator) -> StateVector:
 
 
 def load_amplitudes(path, n: int) -> StateVector:
-    """Read one 'real imag' pair per line; normalizes with a warning if off."""
+    """Read one 'real imag' pair per line; normalizes with a warning if off.
+
+    Raises CapacityError for n above MAX_QUBITS before the file is opened.
+    """
+    if n > MAX_QUBITS:
+        raise CapacityError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit exact-mode limit")
     values = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):

@@ -167,7 +167,10 @@ def _fix(t: np.ndarray, fixed) -> np.ndarray:
 def _apply_matrix(amps, num_qubits, matrix, targets, controls=(), control_values=()):
     """Contract `matrix` over the target axes, optionally on a control slice.
 
-    Operates in place on `amps` (flat view of the state).
+    `matrix` is either a dense 2^k x 2^k array or a block-diagonal operator
+    given as a tuple of (indices, block) pairs, where `block` acts on the
+    rows `indices` of the target index and the listed index sets cover it
+    disjointly. Operates in place on `amps` (flat view of the state).
     """
     k = len(targets)
     sub = _fix(_tensor(amps, num_qubits), dict(zip(controls, control_values)))
@@ -175,7 +178,12 @@ def _apply_matrix(amps, num_qubits, matrix, targets, controls=(), control_values
     # flattened leading index reads the targets little-endian
     src = [num_qubits - 1 - qb for qb in reversed(targets)]
     moved = np.moveaxis(sub, src, range(k))
-    out = matrix @ moved.reshape(1 << k, -1)
+    if isinstance(matrix, tuple):
+        out = moved.reshape(1 << k, -1)
+        for idx, block in matrix:
+            out[idx] = block @ out[idx]  # fancy indexing reads a copy first
+    else:
+        out = matrix @ moved.reshape(1 << k, -1)
     sub[...] = np.moveaxis(out.reshape(moved.shape), range(k), src)
 
 

@@ -221,6 +221,20 @@ def test_oversized_n_exits_3_before_allocating(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path / "x.out")]) == 3
 
 
+@pytest.mark.parametrize("n, lines", [(40, "1 0\n0 0\n"), (21, "not 'real imag'\n0 0\n")],
+                         ids=["n40", "n21-unparsable"])
+def test_oversized_amplitude_file_exits_3_before_reading(tmp_path, capsys, n, lines):
+    # the n = 21 file would fail to parse (exit 2) if it were read
+    amps = tmp_path / "state.txt"
+    amps.write_text(lines)
+    rc = main([
+        "run", "--n", str(n), "--state", f"@{amps}", "--method", "a",
+        "--out", str(tmp_path / "x.json"),
+    ])
+    assert rc == 3
+    assert "capacity error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["nan 0", "inf 0", "0 -inf"])
 @pytest.mark.parametrize("method", ["a", "c"])
 def test_run_rejects_non_finite_amplitude_file(tmp_path, capsys, bad, method):

@@ -1,13 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from tqsf import filtering
 from tqsf.evolution import (
     PhaseUnitary,
     _dense_unitary,
     _pair_rotate,
+    _trotter_blocks,
     apply_controlled_phase_unitary,
     apply_exact,
     apply_swap_rotation,
@@ -292,8 +296,9 @@ def test_swap_rotation_kernel_is_bit_identical_to_index_reference(i, j, control)
     assert np.array_equal(state.amplitudes, expected)
 
 
-def test_controlled_trotter_sweep_is_bit_identical_to_index_reference():
-    n, control, steps = 5, 6, 3
+@pytest.mark.parametrize("steps", [3, 64])
+def test_controlled_trotter_sweep_matches_index_reference(steps):
+    n, control = 5, 6
     rng = np.random.default_rng(9)
     state = random_state(n + 2, rng)
     spec = total_spin_phase_unitary(n, 3, mode="trotter", trotter_steps=steps)
@@ -307,7 +312,8 @@ def test_controlled_trotter_sweep_is_bit_identical_to_index_reference():
             alpha = 2 * np.pi * spec.alpha * c / (op.denominator * steps)
             expected = _index_swap_rotation(expected, alpha, i, j, control)
     apply_controlled_phase_unitary(spec, state, control)
-    assert np.array_equal(state.amplitudes, expected)
+    # the fused power rounds differently from the per-pair sweep
+    assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
 
 
 _TWO_QUBIT_SPECS = {
@@ -468,3 +474,99 @@ def test_every_lru_cache_is_bounded():
     assert {"_dense_unitary", "eigen_blocks", "eigen_oracle", "_joint_projectors",
             "controlled_step_gate"} <= set(caches)
     assert all(maxsize is not None for maxsize in caches.values()), caches
+
+
+# ------------------------------------ fused trotter powers vs per-pair sweep
+
+
+def _per_pair_sweep(spec, state, power=1, control=None):
+    """Trotter U^power as `steps` sweeps of `_pair_rotate`: the reference the
+    fused per-block powers replace. The identity part is one exact phase."""
+    op = spec.operator
+    scale = spec.alpha * power
+    steps = spec.trotter_steps
+    view = _fix(_tensor(state.amplitudes, state.num_qubits),
+                {} if control is None else {control: 1})
+    if op.identity_coefficient:
+        view *= np.exp(2j * np.pi * scale * op.identity_coefficient / op.denominator)
+    order = sorted(zip(op.pairs, op.pair_coefficients))
+    for _ in range(steps):
+        for (i, j), c in order:
+            _pair_rotate(view, 2 * np.pi * scale * c / (op.denominator * steps), i, j)
+    return state
+
+
+@st.composite
+def trotter_cases(draw):
+    n = draw(st.integers(2, 5))
+    j = draw(st.integers(2, n))
+    steps = draw(st.integers(1, 64))
+    family = draw(st.sampled_from(["s2", "prefix", "coupling", "step"]))
+    if family == "s2":
+        spec = total_spin_phase_unitary(n, spin_register_size(n), "trotter", steps)
+    elif family == "prefix":
+        spec = prefix_spin_phase_unitary(j, n, spin_register_size(j), "trotter", steps)
+    elif family == "coupling":
+        spec = coupling_phase_unitary(j, n, min_ancillas("hj", j), "trotter", steps)
+    else:  # the step sum carries its shifted identity (2S' + 3 - j)/2
+        two_S_prev = draw(st.sampled_from(range((j - 1) % 2, j, 2)))
+        spec = replace(step_phase_unitary(j, n, two_S_prev), mode="trotter",
+                       trotter_steps=steps)
+    q = n + draw(st.integers(0, 2))
+    free = [c for c in range(q) if c not in spec.operator.support]
+    control = draw(st.none() | st.sampled_from(free)) if free else None
+    return spec, q, draw(st.integers(1, 8)), control
+
+
+@settings(deadline=None, max_examples=60)
+@given(trotter_cases(), st.integers(0, 2**32 - 1))
+def test_fused_trotter_power_matches_per_pair_sweep(case, seed):
+    spec, q, power, control = case
+    state = random_state(q, np.random.default_rng(seed))
+    expected = _per_pair_sweep(spec, state.copy(), power, control).amplitudes
+
+    def apply(s):
+        if control is None:
+            return apply_trotter(spec, s, power)
+        return apply_controlled_phase_unitary(spec, s, control, power)
+
+    _assert_updated_in_place(apply, state, expected)
+    op = spec.operator
+    blocks = _trotter_blocks(op, spec.alpha * power, spec.trotter_steps)
+    # the blocks cover the support index once; none is the dense 2^m x 2^m matrix
+    m = len(op.support)
+    assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in blocks])),
+                          np.arange(1 << m))
+    for idx, block in blocks:
+        assert block.shape == (len(idx), len(idx)) and len(idx) < 1 << m
+        assert np.max(np.abs(block.conj().T @ block - np.eye(len(idx)))) <= 1e-12
+    misses = _trotter_blocks.cache_info().misses
+    again = state.copy()
+    apply(again)
+    assert _trotter_blocks.cache_info().misses == misses
+    assert _trotter_blocks(op, spec.alpha * power, spec.trotter_steps) is blocks
+    assert _trotter_blocks.cache_parameters()["maxsize"] is not None
+
+
+def _per_pair_controlled(spec, state, control, power=1):
+    """`apply_controlled_phase_unitary` with trotter powers swept pair by pair."""
+    if spec.mode == "trotter":
+        return _per_pair_sweep(spec, state, power, control)
+    return apply_controlled_phase_unitary(spec, state, control, power)
+
+
+@pytest.mark.parametrize("method, n, steps", [("b-hj", 4, 16), ("a", 5, 3)])
+def test_fused_trotter_leakage_matches_per_pair_sweep(monkeypatch, method, n, steps):
+    state = random_state(n, np.random.default_rng(100 + n))
+    fused = filtering.run_filter(state.copy(), n, method, "trotter", steps)[2]
+    monkeypatch.setattr(filtering, "apply_controlled_phase_unitary", _per_pair_controlled)
+    swept = filtering.run_filter(state.copy(), n, method, "trotter", steps)[2]
+    assert [(o.label, o.raw_bits) for o in fused] == [(o.label, o.raw_bits) for o in swept]
+    for a, b in zip(fused, swept):
+        assert abs(a.probability - b.probability) <= 1e-12
+
+    def leakage(outcomes):
+        return sum(o.probability for o in outcomes if o.label is None)
+
+    assert leakage(swept) > 1e-6
+    assert abs(leakage(fused) - leakage(swept)) <= 1e-12
