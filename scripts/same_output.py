@@ -10,8 +10,10 @@ compared byte for byte, except the value of `metadata.timestamp` in the
 run JSON. Every differing configuration is printed; when its run JSON
 differs, a second line gives the largest |probability difference| over its
 rows, whether labels and `raw_bits` agree row for row, and how many
-sampled counts moved. The exit status is 1 on any difference and 0 when
-all outputs match.
+sampled counts moved; when a `verify` report differs, it gives whether the
+check names and PASS/FAIL verdicts agree line for line and how many detail
+strings moved. The exit status is 1 on any difference and 0 when all
+outputs match.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 METHODS = ("a", "b-s2j", "b-hj", "c", "c-deferred")
 TIMESTAMP = re.compile(rb'"timestamp": "[^"]*"')
+CHECK = re.compile(rb"^\[(PASS|FAIL)\] ([^:]*): ?(.*)$")  # a `verify` report line
 
 
 def _configs(state_file):
@@ -100,6 +103,22 @@ def _rows_detail(old: bytes, new: bytes) -> str:
     return detail + f"counts moved on {len(moved)} rows, {shots} shots: {changes}"
 
 
+def _verify_detail(old: bytes, new: bytes) -> str:
+    """Line-by-line summary of two `verify` reports."""
+
+    def checks(report):
+        # (verdict, check name, detail); a line that is no check keeps its text as the name
+        return [m.groups() if m else (None, line, b"")
+                for line, m in ((line, CHECK.match(line)) for line in report.splitlines())]
+
+    a, b = checks(old), checks(new)
+    agree = [c[:2] for c in a] == [c[:2] for c in b]
+    verdicts = ("check names and verdicts agree line for line" if agree else
+                f"check names or verdicts differ ({len(a)} -> {len(b)} lines)")
+    moved = sum(x[2] != y[2] for x, y in zip(a, b))
+    return f"{verdicts}; {moved} of {len(a)} detail strings moved"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -127,6 +146,8 @@ def main(argv=None) -> int:
                 result = f"{name}.json"
                 if result in keys and result in old and result in new:
                     print(f"        {_rows_detail(old[result], new[result])}")
+                if cli_args[0] == "verify" and "stdout" in keys:
+                    print(f"        {_verify_detail(old['stdout'], new['stdout'])}")
             elif old["exit"] != b"0":
                 print(f"same    {name} (both exit {old['exit'].decode()})")
     print(f"{len(configs) - len(differing)} of {len(configs)} configurations identical")

@@ -1,27 +1,27 @@
 """Phase unitaries U = exp(2*pi*i * alpha * O) for the spin operators.
 
-Exact mode synthesizes the unitary on the operator's support from the
-eigenvectors of its 1-count blocks (`spin.eigen_blocks`); trotter mode
-splits the transposition sum into per-pair SWAP rotations using
+Each transposition sum here (S^2, a prefix S^2, a coupling sum, a step
+operator) keeps the 1-count, so U is block-diagonal over the weight-k
+basis states of its support (U(1) blocks, as in Sandvik, arXiv:1101.3281);
+the 1-count operator itself is diagonal, a phase tensor. Both modes cache U per weight block and apply the
+(indices, block) pairs in one `_apply_matrix` call, with no 2^m x 2^m
+matrix (gate fusion as in Häner & Steiger, SC'17, arXiv:1704.01127).
+Exact mode synthesises each block from the eigenvectors of
+`spin.eigen_blocks` (`_exact_blocks`); trotter mode builds one sweep of
+the per-pair SWAP rotations
 
-    exp(i*a*P_ij) = cos(a) I + i sin(a) P_ij,
+    exp(i*a*P_ij) = cos(a) I + i sin(a) P_ij
 
-applied first order in a fixed lexicographic pair order.  Controlled-power
-applications — the building blocks of phase estimation — scale alpha rather
-than repeating the circuit.
-
-Every SWAP rotation keeps the 1-count, so a trotter power is fused per
-weight block (gate fusion as in Häner & Steiger, SC'17, arXiv:1704.01127):
-one sweep of rotations is built on each block's identity, raised to
-`trotter_steps` and cached (`_trotter_blocks`), and the blocks are applied
-to the state in one `_apply_matrix` call, as exact mode applies its dense
-matrix. Per-pair rotations act on a state only through `apply_swap_rotation`.
+in a fixed lexicographic pair order on each block's identity and raises it
+to `trotter_steps` (`_trotter_blocks`). Controlled powers, the building
+blocks of phase estimation, scale alpha rather than repeat the circuit.
+Per-pair rotations act on a state only through `apply_swap_rotation`.
 
 Every kernel mutates ``state.amplitudes`` in place through strided views of
 its (2,)*q qubit tensor and never rebinds it; a controlled kernel works on
-the view where the control reads 1. Both views come from the
-`statevector._fix` selector, which keeps the control's axis with length 1,
-so qubit indices mean the same axes in the plain and the controlled case.
+the `statevector._fix` view where the controls read their values, which
+keeps each control's axis with length 1, so qubit indices mean the same
+axes in the plain and the controlled case.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .spin import (
     _step_sum,
     eigen_blocks,
 )
-from .statevector import Gate, StateVector, _apply_matrix, _check_qubits, _fix, _tensor
+from .statevector import StateVector, _apply_matrix, _check_qubits, _check_unitary, _fix, _tensor
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,16 @@ class PhaseUnitary:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _dense_unitary(op: TranspositionSum, phase_scale: float) -> tuple[np.ndarray, tuple[int, ...]]:
-    """exp(2*pi*i * phase_scale * op) on the support qubits, one weight block at a time."""
-    support = op.support
-    out = np.zeros((1 << len(support),) * 2, dtype=np.complex128)
-    # spectral synthesis keeps the result exactly unitary up to eigh error
+def _exact_blocks(op: TranspositionSum, scale: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """exp(2*pi*i * scale * op) as (indices, v exp(2*pi*i * scale * w) v^T) pairs,
+    one per weight block of `spin.eigen_blocks(op)`: the block form `_apply_matrix`
+    takes. Each factor is checked unitary once, when it enters the cache."""
+    blocks = []
     for idx, w, v in eigen_blocks(op):
-        out[np.ix_(idx, idx)] = (v * np.exp(2j * np.pi * phase_scale * w)) @ v.T
-    return out, support
+        block = (v * np.exp(2j * np.pi * scale * w)) @ v.T
+        _check_unitary(block)
+        blocks.append((idx, block))
+    return tuple(blocks)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -132,21 +134,21 @@ def apply_swap_rotation(state: StateVector, alpha: float, i: int, j: int) -> Sta
 
 
 def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
-            control: int | None = None) -> StateVector:
-    """U^power on the branch where `control` reads 1 (everywhere if None); in place.
+            controls: tuple[int, ...] = (), values: tuple[int, ...] = ()) -> StateVector:
+    """U^power on the branch where each of `controls` reads its value (0 open,
+    1 filled; everywhere without controls); in place.
 
-    Exact mode applies the dense spectral unitary; trotter mode applies the
-    fused per-block powers of `_trotter_blocks`. Both go through one
+    Exact mode fetches the cached spectral factors of `_exact_blocks`,
+    trotter mode the fused powers of `_trotter_blocks`; both go through one
     `_apply_matrix` call on the control slice.
     """
     op = spec.operator
     scale = spec.alpha * power
     qubits = op.support
-    if control in qubits:
-        raise ValueError("control qubit overlaps the operator's qubits")
-    controls = () if control is None else (control,)
+    if len(set(qubits + controls)) != len(qubits) + len(controls):
+        raise ValueError("control qubits must be distinct and off the operator's qubits")
     _check_qubits(state, qubits + controls)
-    view = _fix(_tensor(state.amplitudes, state.num_qubits), dict.fromkeys(controls, 1))
+    view = _fix(_tensor(state.amplitudes, state.num_qubits), dict(zip(controls, values)))
     if isinstance(op, HammingWeightOperator):
         # diagonal in either mode: a product of single-qubit phases, nothing to split
         view *= _hamming_phases(op, scale)
@@ -154,14 +156,13 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
     if mode == "trotter":
         if spec.trotter_steps < 1:
             raise ValueError("trotter_steps must be >= 1")
-        matrix = _trotter_blocks(op, scale, spec.trotter_steps)
+        blocks = _trotter_blocks(op, scale, spec.trotter_steps)
     else:
-        matrix = _dense_unitary(op, scale)[0]
+        blocks = _exact_blocks(op, scale)
         if not qubits:
-            view *= matrix[0, 0]
+            view *= blocks[0][1][0, 0]
             return state
-    _apply_matrix(state.amplitudes, state.num_qubits, matrix, qubits,
-                  controls, (1,) * len(controls))
+    _apply_matrix(state.amplitudes, state.num_qubits, blocks, qubits, controls, values)
     return state
 
 
@@ -179,7 +180,7 @@ def apply_controlled_phase_unitary(
     spec: PhaseUnitary, state: StateVector, control: int, power: int = 1
 ) -> StateVector:
     """Apply U^power on the branch where `control` reads 1; in place."""
-    return _evolve(spec, state, power, spec.mode, control)
+    return _evolve(spec, state, power, spec.mode, (control,), (1,))
 
 
 def z_phase_unitary(n: int, register_size: int) -> PhaseUnitary:
@@ -230,13 +231,3 @@ def step_phase_unitary(j: int, n: int, two_S_prev: int) -> PhaseUnitary:
         raise ValueError(f"two_S_prev={two_S_prev} is not a valid spin of {j - 1} qubits")
     return PhaseUnitary(_step_sum(j, n, two_S_prev), alpha=0.5)
 
-
-@lru_cache(maxsize=CACHE_SIZE)
-def controlled_step_gate(j: int, n: int, two_S_prev: int) -> Gate:
-    """Dense gate for the step unitary, for use in multi-controlled circuits.
-
-    Cached, so each distinct gate passes `Gate`'s unitarity check once.
-    """
-    spec = step_phase_unitary(j, n, two_S_prev)
-    matrix, support = _dense_unitary(spec.operator, spec.alpha)
-    return Gate(matrix, support)

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import AliasingError, CapacityError, DecodeError
 from .evolution import (
     PhaseUnitary,
+    _evolve,
     apply_controlled_phase_unitary,
-    controlled_step_gate,
     coupling_phase_unitary,
     prefix_spin_phase_unitary,
     step_phase_unitary,
@@ -49,9 +49,9 @@ from .statevector import (
     Gate,
     StateVector,
     _fix,
+    _hadamard_wall,
     _marginal,
     _tensor,
-    apply_controlled,
     apply_gate,
     format_bits,
 )
@@ -250,8 +250,7 @@ def run_qpe(state: StateVector, register, spec: PhaseUnitary) -> StateVector:
     """
     register = tuple(int(q) for q in register)
     _check_register(spec, len(register), exact_phases=spec.mode == "exact")
-    for q in register:
-        apply_gate(state, Gate(HADAMARD, (q,)))
+    _hadamard_wall(state, register)
     for k, control in enumerate(register):
         apply_controlled_phase_unitary(spec, state, control, power=1 << k)
     qft(state, register, inverse=True)
@@ -381,15 +380,6 @@ def run_filter(
     return joint, layout, list(_enumerate_register_outcomes(joint, layout, method, mode))
 
 
-def _spin_unitaries(n: int, layout: RegisterLayout, mode: str, trotter_steps: int):
-    n_z = len(layout.register("z"))
-    n_s = len(layout.register("S"))
-    return (
-        z_phase_unitary(n, n_z),
-        total_spin_phase_unitary(n, n_s, mode=mode, trotter_steps=trotter_steps),
-    )
-
-
 def method_a_final_state(
     state: StateVector,
     n: int,
@@ -398,10 +388,10 @@ def method_a_final_state(
 ) -> tuple[StateVector, RegisterLayout]:
     """Run the joint (S^2, S_z) filter circuit; returns the pre-measurement state."""
     layout = layout_for(n, "a")
-    uz, us = _spin_unitaries(n, layout, mode, trotter_steps)
+    z, s = layout.register("z"), layout.register("S")
     joint = _embed(state, layout)
-    run_qpe(joint, layout.register("z"), uz)
-    run_qpe(joint, layout.register("S"), us)
+    run_qpe(joint, z, z_phase_unitary(n, len(z)))
+    run_qpe(joint, s, total_spin_phase_unitary(n, len(s), mode=mode, trotter_steps=trotter_steps))
     return joint, layout
 
 
@@ -505,7 +495,7 @@ class SequentialPathSampler:
         spec = step_phase_unitary(j, self.n, two_S)
         joint = _embed(system, self._layout)
         (ancilla,) = self._layout.register("test")
-        apply_gate(joint, Gate(HADAMARD, (ancilla,)))
+        _hadamard_wall(joint, (ancilla,))
         apply_controlled_phase_unitary(spec, joint, ancilla)
         apply_gate(joint, Gate(HADAMARD, (ancilla,)))
         probs = _marginal(joint, [ancilla])
@@ -616,17 +606,13 @@ def method_c_deferred_final_state(state: StateVector, n: int) -> tuple[StateVect
     """Pre-measurement state of the deferred sequential filter circuit."""
     layout = layout_for(n, "c-deferred")
     joint = _embed(state, layout)
-
-    def step_ancilla(j: int) -> int:
-        return layout.register(f"step{j}")[0]
-
+    ancillas = layout.ancilla_qubits()  # ancillas[j - 2] reads step j
     for j in range(2, n + 1):
-        anc = step_ancilla(j)
-        apply_gate(joint, Gate(HADAMARD, (anc,)))
+        anc = ancillas[j - 2]
+        _hadamard_wall(joint, (anc,))
         for bits, two_S_prev in _reachable_histories(j):
-            controls = [step_ancilla(2 + i) for i in range(len(bits))] + [anc]
-            values = list(bits) + [1]
-            apply_controlled(joint, controls, values, controlled_step_gate(j, n, two_S_prev))
+            step = step_phase_unitary(j, n, two_S_prev)
+            _evolve(step, joint, 1, "exact", ancillas[:j - 1], bits + (1,))
         apply_gate(joint, Gate(HADAMARD, (anc,)))
     return joint, layout
 

@@ -31,7 +31,7 @@ ORACLE_MAX_QUBITS = 12
 CLUSTER_TOL = 1e-8
 EMPTY_COMPONENT_TOL = 1e-12
 # Entries per lru_cache in the package. Repeated perfbench requests reach at
-# most 68 distinct keys of one cache (`_dense_unitary` under
+# most 68 distinct keys of one cache (`evolution._exact_blocks` under
 # `verify --n-max 6`), so a repeated request of those kinds never misses.
 # `evolution._trotter_blocks` holds 9 keys under the `trotter` workload
 # (5 for b-s2j n=4, 4 for a n=8, at 16 steps) and none under the others.

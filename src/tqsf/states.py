@@ -9,11 +9,11 @@ import numpy as np
 
 from .errors import CapacityError
 from .statevector import (
-    HADAMARD,
     MAX_QUBITS,
-    PAULI_X,
+    PAULI_Z,
     Gate,
     StateVector,
+    _hadamard_wall,
     apply_gate,
     new_basis_state,
 )
@@ -23,21 +23,16 @@ PRESETS = ("hadamard", "hadamard-x13")
 
 def hadamard_state(n: int) -> StateVector:
     """Hadamard wall on |0...0>: the uniform, permutation-symmetric state."""
-    state = new_basis_state(n, "0" * n)
-    for q in range(n):
-        apply_gate(state, Gate(HADAMARD, (q,)))
-    return state
+    return _hadamard_wall(new_basis_state(n, "0" * n), range(n))
 
 
 def hadamard_x13_state(n: int) -> StateVector:
     """Hadamard wall after X on qubits 1 and 3: mixes all total-spin sectors."""
     if n < 4:
         raise ValueError("the hadamard-x13 preset needs n >= 4")
-    state = new_basis_state(n, "0" * n)
+    state = hadamard_state(n)
     for q in (1, 3):
-        apply_gate(state, Gate(PAULI_X, (q,)))
-    for q in range(n):
-        apply_gate(state, Gate(HADAMARD, (q,)))
+        apply_gate(state, Gate(PAULI_Z, (q,)))  # H X = Z H, and Z only flips signs
     return state
 
 

@@ -79,6 +79,13 @@ class StateVector:
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
+def _check_unitary(matrix: np.ndarray) -> None:
+    """Raise ValueError unless `matrix` is unitary to UNITARY_ATOL."""
+    dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(len(matrix))))
+    if dev > UNITARY_ATOL:
+        raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+
+
 @dataclass(frozen=True)
 class Gate:
     """Unitary matrix acting on an ordered list of target qubits.
@@ -98,9 +105,7 @@ class Gate:
             raise ValueError(f"matrix shape {matrix.shape} does not match {k} targets")
         if len(set(targets)) != k:
             raise ValueError("gate targets must be distinct")
-        dev = np.max(np.abs(matrix.conj().T @ matrix - np.eye(1 << k)))
-        if dev > UNITARY_ATOL:
-            raise ValueError(f"matrix is not unitary (deviation {dev:.3e})")
+        _check_unitary(matrix)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "targets", targets)
 
@@ -185,6 +190,24 @@ def _apply_matrix(amps, num_qubits, matrix, targets, controls=(), control_values
     else:
         out = matrix @ moved.reshape(1 << k, -1)
     sub[...] = np.moveaxis(out.reshape(moved.shape), range(k), src)
+
+
+def _hadamard_wall(state: StateVector, qubits) -> StateVector:
+    """Hadamard on each of `qubits`, which must all read |0>; in place.
+
+    The populated slice (every listed qubit at 0) is scaled by HADAMARD[0, 0]
+    once per qubit, then copied into the q=1 halves one qubit at a time: about
+    one pass over the state, with the bits of `apply_gate` qubit by qubit."""
+    _check_qubits(state, qubits)
+    t = _tensor(state.amplitudes, state.num_qubits)
+    fixed = dict.fromkeys(qubits, 0)
+    populated = _fix(t, fixed)
+    for _ in fixed:
+        populated *= HADAMARD[0, 0]
+    for q in list(fixed):
+        del fixed[q]
+        _fix(t, {**fixed, q: 1})[...] = _fix(t, {**fixed, q: 0})
+    return state
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

@@ -2,14 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from tqsf import filtering
+from tqsf import evolution, filtering, spin
 from tqsf.evolution import (
     PhaseUnitary,
-    _dense_unitary,
+    _evolve,
+    _exact_blocks,
     _pair_rotate,
     _trotter_blocks,
     apply_controlled_phase_unitary,
@@ -38,6 +39,7 @@ from tqsf.statevector import (
     StateVector,
     _fix,
     _tensor,
+    apply_controlled,
     apply_gate,
     new_basis_state,
 )
@@ -438,6 +440,14 @@ def _run_path_specs(m):
         yield step_phase_unitary(m, m, two_S_prev)
 
 
+def _assembled(blocks, m):
+    """The dense 2^m x 2^m matrix of (indices, block) pairs over m support qubits."""
+    out = np.zeros((1 << m,) * 2, dtype=np.complex128)
+    for idx, block in blocks:
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
 @pytest.mark.parametrize("m", range(2, 9))
 def test_block_synthesis_matches_dense_oracle(m):
     for spec in _run_path_specs(m):
@@ -446,16 +456,73 @@ def test_block_synthesis_matches_dense_oracle(m):
         got = spectrum(op)
         assert len(got) == len(proj.eigenvalues)
         assert np.max(np.abs(np.array(got) - proj.eigenvalues)) < 1e-12
+        assert op.support == tuple(range(m))
         for power in (1, 2, 4, 8):
             scale = spec.alpha * power
-            matrix, support = _dense_unitary(op, scale)
-            assert support == tuple(range(m))
+            matrix = _assembled(_exact_blocks(op, scale), m)
             assert np.max(np.abs(matrix.conj().T @ matrix - np.eye(1 << m))) < 1e-12
             expected = sum(np.exp(2j * np.pi * scale * lam) * p
                            for lam, p in zip(proj.eigenvalues, proj.projectors))
             # the oracle acts on all op.num_qubits qubits; the spectator is identity
             embedded = np.kron(np.eye(1 << (op.num_qubits - m)), matrix)
             assert np.max(np.abs(embedded - expected)) < 1e-12
+
+
+def test_exact_blocks_reject_a_non_unitary_factor(monkeypatch):
+    op = build_total_spin_squared(3)
+    stretched = tuple((idx, 2 * w, 1.5 * v) for idx, w, v in spin.eigen_blocks(op))
+    monkeypatch.setattr(evolution, "eigen_blocks", lambda _: stretched)
+    with pytest.raises(ValueError, match="not unitary"):
+        _exact_blocks(op, 0.123456789)  # a scale no other test caches
+
+
+@st.composite
+def controlled_exact_cases(draw):
+    n = draw(st.integers(2, 5))
+    j = draw(st.integers(2, n))
+    family = draw(st.sampled_from(["z", "s2", "prefix", "coupling", "step"]))
+    if family == "z":
+        spec = z_phase_unitary(n, min_ancillas("z", n))
+    elif family == "s2":
+        spec = total_spin_phase_unitary(n, spin_register_size(n))
+    elif family == "prefix":
+        spec = prefix_spin_phase_unitary(j, n, spin_register_size(j))
+    elif family == "coupling":
+        spec = coupling_phase_unitary(j, n, min_ancillas("hj", j))
+    else:
+        spec = step_phase_unitary(j, n, draw(st.sampled_from(range((j - 1) % 2, j, 2))))
+    q = n + draw(st.integers(0, 3))
+    free = [c for c in range(q) if c not in spec.operator.support]
+    controls = tuple(draw(st.permutations(free))[:draw(st.integers(0, len(free)))])
+    values = tuple(draw(st.integers(0, 1)) for _ in controls)
+    return spec, q, draw(st.integers(1, 8)), controls, values
+
+
+@settings(deadline=None, max_examples=60)
+@given(controlled_exact_cases(), st.integers(0, 2**32 - 1))
+@example((step_phase_unitary(3, 3, 0), 5, 1, (4, 3), (0, 1)), 0)  # empty support: a scalar
+def test_exact_blocks_match_assembled_dense_under_controls(case, seed):
+    spec, q, power, controls, values = case
+    state = random_state(q, np.random.default_rng(seed))
+    op = spec.operator
+    m = len(op.support)
+    scale = spec.alpha * power
+    if isinstance(op, HammingWeightOperator):  # diagonal: applied as a phase tensor
+        blocks, dense = (), np.diag(np.exp(2j * np.pi * scale * op.diagonal()))
+    else:
+        blocks = _exact_blocks(op, scale)
+        dense = _assembled(blocks, m)
+    gate = Gate(dense, op.support)
+    expected = apply_controlled(state.copy(), controls, values, gate).amplitudes
+    _assert_updated_in_place(lambda s: _evolve(spec, s, power, "exact", controls, values),
+                             state, expected)
+    # the blocks cover the support index once; none is the dense 2^m x 2^m matrix
+    if blocks:
+        assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in blocks])),
+                              np.arange(1 << m))
+        assert all(block.shape == (len(idx), len(idx)) for idx, block in blocks)
+    if blocks and m >= 2:
+        assert all(len(idx) < 1 << m for idx, _ in blocks)
 
 
 def test_every_lru_cache_is_bounded():
@@ -471,8 +538,7 @@ def test_every_lru_cache_is_bounded():
             for name, value in vars(owner).items():
                 if hasattr(value, "cache_parameters"):
                     caches[name] = value.cache_parameters()["maxsize"]
-    assert {"_dense_unitary", "eigen_blocks", "eigen_oracle", "_joint_projectors",
-            "controlled_step_gate"} <= set(caches)
+    assert {"_exact_blocks", "eigen_blocks", "eigen_oracle", "_joint_projectors"} <= set(caches)
     assert all(maxsize is not None for maxsize in caches.values()), caches
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tqsf.errors import AliasingError, CapacityError, DecodeError
-from tqsf.evolution import total_spin_phase_unitary, z_phase_unitary
+from tqsf import filtering
+from tqsf.evolution import _exact_blocks, total_spin_phase_unitary, z_phase_unitary
 from tqsf.filtering import (
     PathLabel,
     RegisterLayout,
@@ -40,6 +41,8 @@ from tqsf.statevector import (
     HADAMARD,
     Gate,
     StateVector,
+    _fix,
+    _tensor,
     apply_gate,
     new_basis_state,
     outcome_distribution,
@@ -743,21 +746,34 @@ def test_deferred_matches_sequential_tree(n):
         assert p == pytest.approx(tree[label], abs=1e-10)
 
 
-def test_deferred_step_gates_are_validated_once_per_process(monkeypatch):
+def test_deferred_step_gates_are_validated_once_per_process():
     state = random_state(5, np.random.default_rng(61))
     first = method_c_deferred_final_state(state, 5)[0].amplitudes
-    multi_qubit = []
-    original = Gate.__init__
-
-    def counted(self, matrix, targets):
-        if len(tuple(targets)) > 1:
-            multi_qubit.append(tuple(targets))
-        original(self, matrix, targets)
-
-    monkeypatch.setattr(Gate, "__init__", counted)
+    misses = _exact_blocks.cache_info().misses
     again = method_c_deferred_final_state(state, 5)[0].amplitudes
-    assert multi_qubit == []  # every step gate came from the cache
+    # every step factor came from the cache, where it was checked unitary once
+    assert _exact_blocks.cache_info().misses == misses
     assert np.array_equal(first, again)
+
+
+def test_every_hadamard_wall_starts_on_a_fresh_register(monkeypatch):
+    wall = filtering._hadamard_wall
+    calls = defaultdict(int)
+
+    def probe(state, qubits):
+        t = _tensor(state.amplitudes, state.num_qubits)
+        assert not any(np.any(_fix(t, {q: 1})) for q in qubits), qubits  # reads |0...0>
+        calls[method] += 1
+        return wall(state, qubits)
+
+    monkeypatch.setattr(filtering, "_hadamard_wall", probe)
+    for n in (2, 3, 4, 5):
+        state = random_state(n, np.random.default_rng(70 + n))
+        for method in ("a", "b-s2j", "b-hj", "c-deferred"):
+            run_filter(state, n, method)
+        method = "c"
+        method_c_counts(state, n, 500, seed=n)
+    assert set(calls) == {"a", "b-s2j", "b-hj", "c-deferred", "c"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

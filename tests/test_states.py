@@ -23,6 +23,23 @@ def test_x13_state_signs():
         assert s.amplitudes[idx] == pytest.approx(sign / 4, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 4, 7, 12])
+def test_presets_match_per_qubit_gates_bit_for_bit(n):
+    from tqsf.statevector import HADAMARD, PAULI_X, Gate, apply_gate, new_basis_state
+
+    def gates(xs):
+        state = new_basis_state(n, "0" * n)
+        for q in xs:
+            apply_gate(state, Gate(PAULI_X, (q,)))
+        for q in range(n):
+            apply_gate(state, Gate(HADAMARD, (q,)))
+        return state.amplitudes
+
+    assert np.array_equal(hadamard_state(n).amplitudes, gates(()))
+    if n >= 4:
+        assert np.array_equal(hadamard_x13_state(n).amplitudes, gates((1, 3)))
+
+
 def test_x13_requires_four_qubits():
     with pytest.raises(ValueError):
         hadamard_x13_state(3)

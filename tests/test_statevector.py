@@ -10,6 +10,7 @@ from tqsf.statevector import (
     Gate,
     StateVector,
     _fix,
+    _hadamard_wall,
     _tensor,
     apply_controlled,
     apply_gate,
@@ -262,3 +263,29 @@ def test_fix_selects_matching_amplitudes_in_place(case, seed):
     view[...] = -1.0
     assert np.all(state.amplitudes[match] == -1.0)
     assert not np.any(state.amplitudes[~match] == -1.0)
+
+
+@st.composite
+def fresh_registers(draw):
+    q = draw(st.integers(1, 9))
+    size = draw(st.integers(1, q))
+    return q, tuple(draw(st.permutations(range(q)))[:size])  # unordered, gaps allowed
+
+
+@settings(deadline=None)
+@given(fresh_registers(), st.integers(0, 2**32 - 1))
+def test_hadamard_wall_matches_per_qubit_gates_bit_for_bit(case, seed):
+    q, register = case
+    rng = np.random.default_rng(seed)
+    amps = np.zeros(1 << q, dtype=np.complex128)
+    populated = _fix(_tensor(amps, q), dict.fromkeys(register, 0))
+    populated[...] = (rng.standard_normal(populated.shape)
+                      + 1j * rng.standard_normal(populated.shape))
+    state = StateVector(amps / np.linalg.norm(amps))
+    expected = state.copy()
+    for qb in register:
+        apply_gate(expected, Gate(HADAMARD, (qb,)))
+    before = state.amplitudes
+    assert _hadamard_wall(state, register) is state
+    assert state.amplitudes is before
+    assert np.array_equal(state.amplitudes, expected.amplitudes)
