@@ -40,6 +40,7 @@ def _configs(state_file):
     runs += [
         ("a", 10, 10, 100000, ()),
         ("c", 10, 10, 20000, ()),
+        ("c", 12, 12, 20000, ()),
         ("c-deferred", 8, 8, 100000, ()),
         ("a", 8, 8, 2000, ("--mode", "trotter", "--trotter-steps", "16")),
         ("b-s2j", 4, 4, 2000, ("--mode", "trotter", "--trotter-steps", "16")),

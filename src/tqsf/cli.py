@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -37,8 +38,8 @@ from .filtering import (
     register_bits,
     run_filter,
 )
-from .spin import SpinLabel, _popcount
-from .statevector import StateVector, sample_counts
+from .spin import SpinLabel
+from .statevector import MAX_QUBITS, StateVector, sample_counts
 from .states import load_amplitudes, preset_state
 from .verification import run_verification
 
@@ -275,19 +276,17 @@ def rng_demo(n: int, shots: int, seed: int) -> dict:
     """Sample x = k/n from the 1-count readout of the Hadamard state.
 
     The 1-count register of an exact phase estimation reads the Hamming
-    weight, so its statistics equal a direct Born measurement of the
-    weight on the system state; sampling that way keeps n up to the full
+    weight, whose Born distribution on the Hadamard state is binomial:
+    p_k = C(n, k) / 2^n, an exact binary fraction for n up to the
     20-qubit capacity.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    state = preset_state("hadamard", n)
-    probs = state.probabilities()
-    weights = _popcount(np.arange(probs.size, dtype=np.uint64))
-    p_k = np.bincount(weights.astype(np.int64), weights=probs, minlength=n + 1)
-    p_k = p_k / p_k.sum()
+    if n > MAX_QUBITS:
+        raise CapacityError(f"{n} qubits exceeds the {MAX_QUBITS}-qubit exact-mode limit")
+    p_k = [math.comb(n, k) / 2**n for k in range(n + 1)]
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, p_k)
     return {

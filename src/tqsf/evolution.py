@@ -1,11 +1,12 @@
 """Phase unitaries U = exp(2*pi*i * alpha * O) for the spin operators.
 
-Each transposition sum here (S^2, a prefix S^2, a coupling sum, a step
-operator) keeps the 1-count, so U is block-diagonal over the weight-k
-basis states of its support (U(1) blocks, as in Sandvik, arXiv:1101.3281);
-the 1-count operator itself is diagonal, a phase tensor. Both modes cache U per weight block and apply the
-(indices, block) pairs in one `_apply_matrix` call, with no 2^m x 2^m
-matrix (gate fusion as in Häner & Steiger, SC'17, arXiv:1704.01127).
+Each transposition sum here (S^2, a prefix S^2, a coupling sum) keeps the
+1-count, so U is block-diagonal over the weight-k basis states of its
+support (U(1) blocks, as in Sandvik, arXiv:1101.3281); the 1-count
+operator itself is diagonal, a phase tensor. Both modes cache U per weight
+block and apply the (indices, block) pairs in one `_apply_matrix` call,
+with no 2^m x 2^m matrix (gate fusion as in Häner & Steiger, SC'17,
+arXiv:1704.01127).
 Exact mode synthesises each block from the eigenvectors of
 `spin.eigen_blocks` (`_exact_blocks`); trotter mode builds one sweep of
 the per-pair SWAP rotations
@@ -19,9 +20,9 @@ Per-pair rotations act on a state only through `apply_swap_rotation`.
 
 Every kernel mutates ``state.amplitudes`` in place through strided views of
 its (2,)*q qubit tensor and never rebinds it; a controlled kernel works on
-the `statevector._fix` view where the controls read their values, which
-keeps each control's axis with length 1, so qubit indices mean the same
-axes in the plain and the controlled case.
+the `statevector._fix` view where its one control reads 1, which keeps the
+control's axis with length 1, so qubit indices mean the same axes in the
+plain and the controlled case.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .spin import (
     build_coupling_sum,
     build_prefix_spin_squared,
     build_total_spin_squared,
-    _step_sum,
     eigen_blocks,
 )
 from .statevector import StateVector, _apply_matrix, _check_qubits, _check_unitary, _fix, _tensor
@@ -134,9 +134,8 @@ def apply_swap_rotation(state: StateVector, alpha: float, i: int, j: int) -> Sta
 
 
 def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
-            controls: tuple[int, ...] = (), values: tuple[int, ...] = ()) -> StateVector:
-    """U^power on the branch where each of `controls` reads its value (0 open,
-    1 filled; everywhere without controls); in place.
+            control: int | None = None) -> StateVector:
+    """U^power on the branch where `control` reads 1 (everywhere without one); in place.
 
     Exact mode fetches the cached spectral factors of `_exact_blocks`,
     trotter mode the fused powers of `_trotter_blocks`; both go through one
@@ -145,10 +144,11 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
     op = spec.operator
     scale = spec.alpha * power
     qubits = op.support
-    if len(set(qubits + controls)) != len(qubits) + len(controls):
-        raise ValueError("control qubits must be distinct and off the operator's qubits")
+    controls = () if control is None else (control,)
+    if control in qubits:
+        raise ValueError("the control qubit must be off the operator's qubits")
     _check_qubits(state, qubits + controls)
-    view = _fix(_tensor(state.amplitudes, state.num_qubits), dict(zip(controls, values)))
+    view = _fix(_tensor(state.amplitudes, state.num_qubits), dict.fromkeys(controls, 1))
     if isinstance(op, HammingWeightOperator):
         # diagonal in either mode: a product of single-qubit phases, nothing to split
         view *= _hamming_phases(op, scale)
@@ -159,10 +159,8 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
         blocks = _trotter_blocks(op, scale, spec.trotter_steps)
     else:
         blocks = _exact_blocks(op, scale)
-        if not qubits:
-            view *= blocks[0][1][0, 0]
-            return state
-    _apply_matrix(state.amplitudes, state.num_qubits, blocks, qubits, controls, values)
+    _apply_matrix(state.amplitudes, state.num_qubits, blocks, qubits, controls,
+                  (1,) * len(controls))
     return state
 
 
@@ -180,7 +178,7 @@ def apply_controlled_phase_unitary(
     spec: PhaseUnitary, state: StateVector, control: int, power: int = 1
 ) -> StateVector:
     """Apply U^power on the branch where `control` reads 1; in place."""
-    return _evolve(spec, state, power, spec.mode, (control,), (1,))
+    return _evolve(spec, state, power, spec.mode, control)
 
 
 def z_phase_unitary(n: int, register_size: int) -> PhaseUnitary:
@@ -216,18 +214,4 @@ def coupling_phase_unitary(j: int, n: int, register_size: int, mode: str = "exac
     shifted = replace(build_coupling_sum(j, n), identity_coefficient=1.0)
     return PhaseUnitary(shifted, alpha=0.5**register_size, mode=mode,
                         trotter_steps=trotter_steps)
-
-
-def step_phase_unitary(j: int, n: int, two_S_prev: int) -> PhaseUnitary:
-    """exp(i*pi*G) whose Hadamard test reads the spin increase/decrease bit.
-
-    two_S_prev = 0 is accepted here: on a zero-spin prefix the operator is
-    the constant 1, so the test deterministically reports an increase —
-    exactly the behaviour the coherent (deferred) circuit needs.
-    """
-    if not 2 <= j <= n:
-        raise ValueError(f"prefix length {j} must satisfy 2 <= j <= n ({n})")
-    if two_S_prev < 0 or two_S_prev > j - 1 or (two_S_prev - (j - 1)) % 2:
-        raise ValueError(f"two_S_prev={two_S_prev} is not a valid spin of {j - 1} qubits")
-    return PhaseUnitary(_step_sum(j, n, two_S_prev), alpha=0.5)
 

@@ -11,8 +11,9 @@ Three filters are provided, named after the CLI's method tokens:
 * method C — sequential single-ancilla tests with classical feedback:
   one spin-increase/decrease bit per added qubit; minimal quantum
   resources, one sampled path per shot.  Its deferred variant replaces
-  the feedback with multi-controlled gates and recovers the exact path
-  distribution from one coherent circuit.
+  the feedback with history-controlled gates and recovers the exact path
+  distribution from one coherent state, which deferred measurement builds
+  from the sequential filter's path tree.
 
 Joint states place the n system qubits at indices 0..n-1 followed by the
 ancilla registers in the layout's declared order.
@@ -20,6 +21,7 @@ ancilla registers in the layout's declared order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,23 +29,21 @@ import numpy as np
 from .errors import AliasingError, CapacityError, DecodeError
 from .evolution import (
     PhaseUnitary,
-    _evolve,
     apply_controlled_phase_unitary,
     coupling_phase_unitary,
     prefix_spin_phase_unitary,
-    step_phase_unitary,
     total_spin_phase_unitary,
     z_phase_unitary,
 )
 from .spin import (
     SpinLabel,
+    build_step_operator,
     decode_total_spin,
     min_ancillas,
     spectrum,
     spin_register_size,
 )
 from .statevector import (
-    HADAMARD,
     MAX_QUBITS,
     PRUNE_TOL,
     Gate,
@@ -59,6 +59,9 @@ from .statevector import (
 METHODS = ("a", "b-s2j", "b-hj", "c", "c-deferred")
 DEFAULT_TROTTER_STEPS = 64
 DEFAULT_SEED = 12345
+# Largest worst-case path tree, in bytes, that `SequentialPathSampler` takes
+# on: the tree must fit in memory, since each expanded node holds a state.
+SAMPLER_MAX_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -463,21 +466,25 @@ class SequentialPathSampler:
     system); a zero running spin forces an increase with no quantum
     operation.  One walk serves every shot: it steps through a table of
     expanded nodes (increase probability, child ids) and simulates a node's
-    test, through the memoised `_branch`, only the first time a shot
-    reaches it.  The walk takes one uniform per non-forced step from a
-    source it is given: `sample` draws them one by one from the caller's
-    generator, `method_c_counts` from one seeded stream read in chunks.
-    Both sources yield the same doubles, so counts do not depend on the
-    chunking, and the statistics equal those of independent simulations.
+    test, through `_branch`, only the first time a shot reaches it.  The
+    walk takes one uniform per non-forced step from a source it is given:
+    `sample` draws them one by one from the caller's generator,
+    `method_c_counts` from one seeded stream read in chunks.  Both sources
+    yield the same doubles, so counts do not depend on the chunking, and
+    the statistics equal those of independent simulations.
     """
 
     def __init__(self, state: StateVector, n: int):
         if state.num_qubits != n:
             raise ValueError("state size does not match n")
+        layout_for(n, "c")  # rejects n < 2 and layouts above MAX_QUBITS
+        # C(m, m//2) nodes at depth m - 1 when no branch is pruned or forced
+        tree_bytes = sum(math.comb(m, m // 2) for m in range(1, n + 1)) * (16 << n)
+        if tree_bytes > SAMPLER_MAX_BYTES:
+            raise CapacityError(f"the {n}-qubit path tree may hold {tree_bytes / 2**30:.1f} "
+                                f"GiB, above the {SAMPLER_MAX_BYTES / 2**30:g} GiB limit")
         self.n = n
-        self._layout = layout_for(n, "c")
         self._root = (state.copy(), 1)  # (system state, two_S)
-        self._children: dict[tuple[int, ...], tuple[float, dict]] = {}
         # The walk's node table. Node i is (step-bit prefix, (system, two_S));
         # edge i is None until the node is expanded, then (p_increase, child
         # id for bit 0, child id for bit 1). p_increase is None where a zero
@@ -486,27 +493,25 @@ class SequentialPathSampler:
         self._edges: list[tuple[float | None, int, int] | None] = [None]
 
     def _branch(self, prefix: tuple[int, ...], node):
-        """Probability of the increase outcome and both collapsed children."""
-        cached = self._children.get(prefix)
-        if cached is not None:
-            return cached
+        """Probability of the increase outcome and both collapsed children.
+
+        The test of exp(i*pi*G), G = `build_step_operator(j, n, two_S)`, leaves
+        (psi + exp(i*pi*G) psi)/2 on ancilla 0 and (psi - exp(i*pi*G) psi)/2 on
+        ancilla 1.  On the states of the tree, whose first j-1 qubits carry
+        spin two_S/2, G is a projector, so exp(i*pi*G) = I - 2G and the two
+        branches are psi - G psi (decrease) and G psi (increase).
+        """
         system, two_S = node
-        j = len(prefix) + 2
-        spec = step_phase_unitary(j, self.n, two_S)
-        joint = _embed(system, self._layout)
-        (ancilla,) = self._layout.register("test")
-        _hadamard_wall(joint, (ancilla,))
-        apply_controlled_phase_unitary(spec, joint, ancilla)
-        apply_gate(joint, Gate(HADAMARD, (ancilla,)))
-        probs = _marginal(joint, [ancilla])
+        psi = system.amplitudes
+        increase = build_step_operator(len(prefix) + 2, self.n, two_S).apply(psi)
+        branches = (psi - increase, increase)
+        weights = [float(np.vdot(amps, amps).real) for amps in branches]
         children = {}
         for bit in (0, 1):
-            if probs[bit] > PRUNE_TOL:
-                collapsed = _extract_system(joint, self._layout, {ancilla: bit})
+            if weights[bit] > PRUNE_TOL:
+                collapsed = StateVector(branches[bit] / np.sqrt(weights[bit]), copy=False)
                 children[bit] = (collapsed, two_S + (1 if bit else -1))
-        result = (float(probs[1]), children)
-        self._children[prefix] = result
-        return result
+        return weights[1], children
 
     def _expand(self, i: int) -> tuple[float | None, int, int]:
         prefix, (system, two_S) = self._nodes[i]
@@ -537,11 +542,11 @@ class SequentialPathSampler:
         prefix, (system, _) = self._nodes[self._walk(rng.random)]
         return ShotRecord(path=PathLabel.from_bits(prefix), post_state=system)
 
-    def path_probabilities(self) -> dict[PathLabel, float]:
-        """Exact probability of every path of nonzero weight.
+    def _leaf_weights(self) -> dict[int, float]:
+        """Exact probability of every leaf of nonzero weight, by node id.
 
-        Each leaf's weight is the product of its branch probabilities,
-        taken from the root down.
+        Expands the whole tree; each leaf's weight is the product of its
+        branch probabilities, taken from the root down.
         """
         level = {0: 1.0}
         for _ in range(self.n - 1):
@@ -555,7 +560,12 @@ class SequentialPathSampler:
                         bit = self._nodes[child][0][-1]
                         deeper[child] = prob * (p_increase if bit else 1 - p_increase)
             level = deeper
-        return {PathLabel.from_bits(self._nodes[i][0]): prob for i, prob in level.items()}
+        return level
+
+    def path_probabilities(self) -> dict[PathLabel, float]:
+        """Exact probability of every path of nonzero weight."""
+        return {PathLabel.from_bits(self._nodes[i][0]): prob
+                for i, prob in self._leaf_weights().items()}
 
 
 def method_c(state: StateVector, n: int, rng) -> ShotRecord:
@@ -589,32 +599,25 @@ def method_c_counts(state: StateVector, n: int, shots: int, seed: int) -> dict[P
     return {PathLabel.from_bits(sampler._nodes[i][0]): c for i, c in leaves.items()}
 
 
-def _reachable_histories(j: int):
-    """Step-bit prefixes (steps 2..j-1) with their resulting prefix spin."""
-    histories = [((), 1)]
-    for _ in range(2, j):
-        nxt = []
-        for bits, two_S in histories:
-            nxt.append((bits + (1,), two_S + 1))
-            if two_S >= 1:
-                nxt.append((bits + (0,), two_S - 1))
-        histories = nxt
-    return histories
-
-
 def method_c_deferred_final_state(state: StateVector, n: int) -> tuple[StateVector, RegisterLayout]:
-    """Pre-measurement state of the deferred sequential filter circuit."""
+    """Pre-measurement state of the deferred sequential filter circuit.
+
+    The circuit applies each step test controlled on the earlier step bits,
+    so by deferred measurement the ancillas reading step bits b hold
+    sqrt(P(b)) times the state that method C leaves after path b.  Every
+    leaf of the sequential filter's fully expanded tree fills that slice;
+    paths of no weight stay exactly zero.
+    """
     layout = layout_for(n, "c-deferred")
-    joint = _embed(state, layout)
+    sampler = SequentialPathSampler(state, n)
+    joint = np.zeros(1 << layout.total_qubits, dtype=np.complex128)
+    t = _tensor(joint, layout.total_qubits)
     ancillas = layout.ancilla_qubits()  # ancillas[j - 2] reads step j
-    for j in range(2, n + 1):
-        anc = ancillas[j - 2]
-        _hadamard_wall(joint, (anc,))
-        for bits, two_S_prev in _reachable_histories(j):
-            step = step_phase_unitary(j, n, two_S_prev)
-            _evolve(step, joint, 1, "exact", ancillas[:j - 1], bits + (1,))
-        apply_gate(joint, Gate(HADAMARD, (anc,)))
-    return joint, layout
+    for leaf, prob in sampler._leaf_weights().items():
+        bits, (system, _) = sampler._nodes[leaf]
+        slot = _fix(t, dict(zip(ancillas, bits)))
+        slot[...] = np.sqrt(prob) * _tensor(system.amplitudes, n)
+    return StateVector(joint, copy=False), layout
 
 
 def method_c_deferred(state: StateVector, n: int) -> list[FilterOutcome]:
@@ -623,6 +626,6 @@ def method_c_deferred(state: StateVector, n: int) -> list[FilterOutcome]:
     One ancilla per coupling step; every step's test unitary appears once
     per reachable spin history, selected by open/filled controls on the
     earlier ancillas.  All ancillas are measured at the end, so the exact
-    path distribution comes from a single circuit.
+    path distribution comes from a single coherent state.
     """
     return run_filter(state, n, "c-deferred")[2]

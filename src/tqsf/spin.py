@@ -6,10 +6,11 @@ identity
     S^2 = n(4-n)/4 * I + sum_{i<j} P_ij,
 
 where P_ij is the SWAP (transposition) of qubits i and j.  All operators in
-this module are stored in that symbolic form and densified on demand.  A
-transposition sum keeps the 1-count of a basis state, so the run path
-diagonalises it one weight block at a time (`eigen_blocks`).  The full
-dense eigendecomposition (`eigen_oracle`, `project_SM`) is used only by
+this module are stored in that symbolic form, applied matrix-free
+(`TranspositionSum.apply`) or densified on demand.  A transposition sum
+keeps the 1-count of a basis state, so the run path diagonalises it one
+weight block at a time (`eigen_blocks`).  The full dense
+eigendecomposition (`eigen_oracle`, `project_SM`) is used only by
 verification, as an independent check of the filtering circuits.
 
 Spin quantum numbers are carried as integers 2S and 2M to keep half-integer
@@ -25,16 +26,17 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError, DecodeError
-from .statevector import StateVector
+from .statevector import StateVector, _swapped, _tensor
 
 ORACLE_MAX_QUBITS = 12
 CLUSTER_TOL = 1e-8
 EMPTY_COMPONENT_TOL = 1e-12
 # Entries per lru_cache in the package. Repeated perfbench requests reach at
-# most 68 distinct keys of one cache (`evolution._exact_blocks` under
+# most 40 distinct keys of one cache (`evolution._exact_blocks` under
 # `verify --n-max 6`), so a repeated request of those kinds never misses.
 # `evolution._trotter_blocks` holds 9 keys under the `trotter` workload
-# (5 for b-s2j n=4, 4 for a n=8, at 16 steps) and none under the others.
+# (5 for b-s2j n=4, 4 for a n=8, at 16 steps) and none under the others;
+# methods c and c-deferred fill no cache.
 CACHE_SIZE = 128
 
 
@@ -86,6 +88,16 @@ class TranspositionSum:
             out[swapped, idx] += c
         out /= self.denominator
         return out
+
+    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The operator times flat amplitudes over num_qubits qubits, as a new array;
+        the counterpart of `to_dense`, with each transposition a view (`_swapped`)."""
+        t = _tensor(amplitudes, self.num_qubits)
+        out = self.identity_coefficient * t
+        for (i, j), c in zip(self.pairs, self.pair_coefficients):
+            out += c * _swapped(t, i, j)
+        out /= self.denominator
+        return out.reshape(-1)
 
     def dense_on_support(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Dense matrix over the support qubits only, with the support map."""
@@ -210,22 +222,13 @@ def build_coupling_sum(j: int, n: int) -> TranspositionSum:
     return TranspositionSum(num_qubits=n, pairs=pairs)
 
 
-def _step_sum(j: int, n: int, two_S_prev: int) -> TranspositionSum:
-    # ((2S' + 3 - j)/2 * I + sum_{i<j-1} P_{i,j-1}) / (2S' + 1)
-    pairs = tuple((i, j - 1) for i in range(j - 1))
-    return TranspositionSum(
-        num_qubits=n,
-        identity_coefficient=(two_S_prev + 3 - j) / 2,
-        pairs=pairs,
-        denominator=two_S_prev + 1,
-    )
-
-
 def build_step_operator(j: int, n: int, two_S_prev: int) -> TranspositionSum:
     """Spin-step indicator when coupling qubit j-1 to a prefix of known spin.
 
-    On the subspace where qubits 0..j-2 carry total spin S' = two_S_prev/2,
-    the eigenvalue is 1 for the spin-increase branch (S' + 1/2) and 0 for the
+    G = ((2S' + 3 - j)/2 * I + sum_{i<j-1} P_{i,j-1}) / (2S' + 1).  On the
+    subspace where qubits 0..j-2 carry total spin S' = two_S_prev/2, G is the
+    projector onto the coupled spin S' + 1/2 (Löwdin, Rev. Mod. Phys. 36,
+    966 (1964)): eigenvalue 1 for the spin-increase branch and 0 for the
     spin-decrease branch (S' - 1/2).
     """
     if not 2 <= j <= n:
@@ -234,7 +237,8 @@ def build_step_operator(j: int, n: int, two_S_prev: int) -> TranspositionSum:
         raise ValueError("two_S_prev must be >= 1; a zero-spin prefix forces an increase")
     if two_S_prev > j - 1 or (two_S_prev - (j - 1)) % 2:
         raise ValueError(f"two_S_prev={two_S_prev} is not a valid spin of {j - 1} qubits")
-    return _step_sum(j, n, two_S_prev)
+    pairs = tuple((i, j - 1) for i in range(j - 1))
+    return TranspositionSum(n, (two_S_prev + 3 - j) / 2, pairs, denominator=two_S_prev + 1)
 
 
 def build_hamming_weight(n: int) -> HammingWeightOperator:

@@ -12,10 +12,10 @@ Gates are applied by reshaping the amplitude array into a rank-q tensor and
 contracting the gate matrix over the target axes; the full 2^q x 2^q
 embedded matrix is never formed.
 
-`_tensor` and `_fix` own the qubit-to-axis convention (qubit k on axis
-q-1-k): `_fix` holds listed qubits at given bits with length-1 slices, so
-a controlled or collapsed slice keeps every other qubit on its axis and
-no caller re-ranks axes.
+`_tensor`, `_fix` and `_swapped` own the qubit-to-axis convention (qubit k
+on axis q-1-k): `_fix` holds listed qubits at given bits with length-1
+slices, so a controlled or collapsed slice keeps every other qubit on its
+axis and no caller re-ranks axes; `_swapped` exchanges two qubits' axes.
 
 In-place contract, shared with ``tqsf.evolution``: every kernel mutates
 ``state.amplitudes`` through views of that tensor and never rebinds it, so
@@ -167,6 +167,11 @@ def _fix(t: np.ndarray, fixed) -> np.ndarray:
     for qubit, bit in fixed.items():
         sel[-1 - qubit] = _BIT[bit]  # axis ndim-1-qubit, counted from the end
     return t[tuple(sel)]
+
+
+def _swapped(t: np.ndarray, i: int, j: int) -> np.ndarray:
+    """View of the qubit tensor `t` with qubits i and j exchanged: SWAP_ij t, no copy."""
+    return t.swapaxes(-1 - i, -1 - j)
 
 
 def _apply_matrix(amps, num_qubits, matrix, targets, controls=(), control_values=()):

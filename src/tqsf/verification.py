@@ -15,8 +15,8 @@ from .errors import AliasingError
 from .evolution import apply_swap_rotation
 from .filtering import (
     DEFAULT_SEED,
+    PathLabel,
     RegisterLayout,
-    SequentialPathSampler,
     layout_for,
     method_a,
     method_b,
@@ -209,21 +209,25 @@ def check_variant_equivalence(n: int, num_states: int, seed: int = DEFAULT_SEED)
     )
 
 
-def check_deferred_matches_marginal(n: int, seed: int = DEFAULT_SEED) -> Check:
-    """The coherent circuit reproduces the sequential filter's distribution.
+def _oracle_path_weights(state, n: int) -> dict[PathLabel, float]:
+    """|P^(n)_{S_n} ... P^(2)_{S_2} psi|^2 of every path, by the oracle's prefix projectors."""
+    level = [((), 1, state.amplitudes)]  # (step bits, 2S of the prefix, projected psi)
+    for j in range(2, n + 1):
+        projectors = eigen_oracle(build_prefix_spin_squared(j, n))
+        level = [
+            (bits + (bit,), two_S, projectors.projector_for(two_S / 2 * (two_S / 2 + 1)) @ psi)
+            for bits, prev, psi in level
+            for bit, two_S in ((0, prev - 1), (1, prev + 1))
+            if two_S >= 0
+        ]
+    return {PathLabel.from_bits(bits): float(np.vdot(psi, psi).real) for bits, _, psi in level}
 
-    Reference: the per-path register marginal (n <= 5; the register stack
-    for n = 6 exceeds the qubit cap), falling back to the exact branch
-    tree of the feedback protocol.
-    """
+
+def check_deferred_matches_marginal(n: int, seed: int = DEFAULT_SEED) -> Check:
+    """The coherent circuit reproduces the path weights of the dense oracle."""
     rng = np.random.default_rng(seed + 200 + n)
     state = random_state(n, rng)
-    if n <= 5:
-        marginal: dict = defaultdict(float)
-        for o in method_b(state, n, "hj"):
-            marginal[o.label] += o.probability
-    else:
-        marginal = SequentialPathSampler(state, n).path_probabilities()
+    marginal = _oracle_path_weights(state, n)
     worst = 0.0
     for o in method_c_deferred(state, n):
         worst = max(worst, abs(marginal.pop(o.label, 0.0) - o.probability))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,29 @@ def test_capacity_exit_code(tmp_path):
 ])
 def test_oversized_n_exits_3_before_allocating(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path / "x.out")]) == 3
+
+
+def test_method_c_tree_capacity_exits_3_before_allocating(tmp_path, capsys):
+    # n = 14 may grow a 1.7 GiB path tree; the 2^14-amplitude input state is 256 KiB
+    argv = ["run", "--n", "14", "--method", "c", "--shots", "10",
+            "--out", str(tmp_path / "x.json")]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert "path tree" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_method_c_runs_at_13_qubits(tmp_path):
+    out = tmp_path / "x.json"
+    assert main(["run", "--n", "13", "--state", "hadamard-x13", "--method", "c",
+                 "--shots", "200", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert sum(row["count"] for row in doc["outcomes"]) == 200
 
 
 @pytest.mark.parametrize("n, lines", [(40, "1 0\n0 0\n"), (21, "not 'real imag'\n0 0\n")],

@@ -19,13 +19,13 @@ from tqsf.evolution import (
     apply_trotter,
     coupling_phase_unitary,
     prefix_spin_phase_unitary,
-    step_phase_unitary,
     total_spin_phase_unitary,
     z_phase_unitary,
 )
 from tqsf.spin import (
     HammingWeightOperator,
     TranspositionSum,
+    build_step_operator,
     build_total_spin_squared,
     eigen_oracle,
     min_ancillas,
@@ -250,7 +250,7 @@ def test_prefix_and_coupling_specs_match_operators():
 
 def test_step_unitary_hadamard_test_probabilities():
     """One-ancilla test of the step unitary reads increase/decrease exactly."""
-    spec = step_phase_unitary(2, 2, 1)
+    spec = PhaseUnitary(build_step_operator(2, 2, 1), 0.5)
     # |00> is symmetric: eigenvalue 1, V = -1 on it, ancilla must read 1
     joint = np.zeros(8, dtype=complex)
     joint[0] = 1.0
@@ -260,11 +260,6 @@ def test_step_unitary_hadamard_test_probabilities():
     apply_gate(state, Gate(HADAMARD, (2,)))
     p1 = float(np.sum(np.abs(state.amplitudes[4:]) ** 2))
     assert p1 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_step_unitary_allows_zero_prefix_for_deferred():
-    spec = step_phase_unitary(3, 3, 0)
-    assert spec.operator.denominator == pytest.approx(1.0)
 
 
 def test_trotter_requires_steps():
@@ -431,13 +426,23 @@ def test_hamming_phase_matches_dense_diagonal_on_control_block(case, seed):
 # ------------------------------------------- weight-block synthesis vs oracle
 
 
+def _step_spec(j, n, two_S_prev):
+    """The exp(i*pi*G) whose Hadamard test reads method C's step bit."""
+    return PhaseUnitary(build_step_operator(j, n, two_S_prev), 0.5)
+
+
+def _step_spins(j):
+    """Every nonzero spin 2S' of j-1 qubits: the step operators' prefix spins."""
+    return range(2 - (j - 1) % 2, j, 2)
+
+
 def _run_path_specs(m):
-    """Every run-path phase unitary family whose operator acts on qubits 0..m-1."""
+    """Every phase unitary family whose operator acts on qubits 0..m-1."""
     yield total_spin_phase_unitary(m, spin_register_size(m))  # odd m: shifted by -3/4
     yield prefix_spin_phase_unitary(m, m + 1, spin_register_size(m))
     yield coupling_phase_unitary(m, m, min_ancillas("hj", m))
-    for two_S_prev in range((m - 1) % 2, m, 2):
-        yield step_phase_unitary(m, m, two_S_prev)
+    for two_S_prev in _step_spins(m):
+        yield _step_spec(m, m, two_S_prev)
 
 
 def _assembled(blocks, m):
@@ -490,19 +495,19 @@ def controlled_exact_cases(draw):
     elif family == "coupling":
         spec = coupling_phase_unitary(j, n, min_ancillas("hj", j))
     else:
-        spec = step_phase_unitary(j, n, draw(st.sampled_from(range((j - 1) % 2, j, 2))))
+        spec = _step_spec(j, n, draw(st.sampled_from(_step_spins(j))))
     q = n + draw(st.integers(0, 3))
     free = [c for c in range(q) if c not in spec.operator.support]
-    controls = tuple(draw(st.permutations(free))[:draw(st.integers(0, len(free)))])
-    values = tuple(draw(st.integers(0, 1)) for _ in controls)
-    return spec, q, draw(st.integers(1, 8)), controls, values
+    control = draw(st.none() | st.sampled_from(free)) if free else None
+    return spec, q, draw(st.integers(1, 8)), control
 
 
 @settings(deadline=None, max_examples=60)
 @given(controlled_exact_cases(), st.integers(0, 2**32 - 1))
-@example((step_phase_unitary(3, 3, 0), 5, 1, (4, 3), (0, 1)), 0)  # empty support: a scalar
+@example((PhaseUnitary(TranspositionSum(num_qubits=3), 0.5), 5, 1, 4), 0)  # empty support
 def test_exact_blocks_match_assembled_dense_under_controls(case, seed):
-    spec, q, power, controls, values = case
+    spec, q, power, control = case
+    controls = () if control is None else (control,)
     state = random_state(q, np.random.default_rng(seed))
     op = spec.operator
     m = len(op.support)
@@ -513,8 +518,8 @@ def test_exact_blocks_match_assembled_dense_under_controls(case, seed):
         blocks = _exact_blocks(op, scale)
         dense = _assembled(blocks, m)
     gate = Gate(dense, op.support)
-    expected = apply_controlled(state.copy(), controls, values, gate).amplitudes
-    _assert_updated_in_place(lambda s: _evolve(spec, s, power, "exact", controls, values),
+    expected = apply_controlled(state.copy(), controls, (1,) * len(controls), gate).amplitudes
+    _assert_updated_in_place(lambda s: _evolve(spec, s, power, "exact", control),
                              state, expected)
     # the blocks cover the support index once; none is the dense 2^m x 2^m matrix
     if blocks:
@@ -574,10 +579,9 @@ def trotter_cases(draw):
         spec = prefix_spin_phase_unitary(j, n, spin_register_size(j), "trotter", steps)
     elif family == "coupling":
         spec = coupling_phase_unitary(j, n, min_ancillas("hj", j), "trotter", steps)
-    else:  # the step sum carries its shifted identity (2S' + 3 - j)/2
-        two_S_prev = draw(st.sampled_from(range((j - 1) % 2, j, 2)))
-        spec = replace(step_phase_unitary(j, n, two_S_prev), mode="trotter",
-                       trotter_steps=steps)
+    else:  # the step operator carries its shifted identity (2S' + 3 - j)/2
+        two_S_prev = draw(st.sampled_from(_step_spins(j)))
+        spec = replace(_step_spec(j, n, two_S_prev), mode="trotter", trotter_steps=steps)
     q = n + draw(st.integers(0, 2))
     free = [c for c in range(q) if c not in spec.operator.support]
     control = draw(st.none() | st.sampled_from(free)) if free else None

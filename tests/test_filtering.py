@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from tqsf.errors import AliasingError, CapacityError, DecodeError
 from tqsf import filtering
-from tqsf.evolution import _exact_blocks, total_spin_phase_unitary, z_phase_unitary
+from tqsf import evolution, spin
+from tqsf.evolution import (
+    PhaseUnitary,
+    apply_controlled_phase_unitary,
+    total_spin_phase_unitary,
+    z_phase_unitary,
+)
 from tqsf.filtering import (
     PathLabel,
     RegisterLayout,
@@ -33,7 +39,9 @@ from tqsf.spin import (
     SpinLabel,
     TranspositionSum,
     build_hamming_weight,
+    build_step_operator,
     build_total_spin_squared,
+    eigen_oracle,
     project_SM,
 )
 from tqsf.states import hadamard_state, hadamard_x13_state, random_state
@@ -43,6 +51,7 @@ from tqsf.statevector import (
     StateVector,
     _fix,
     _tensor,
+    apply_controlled,
     apply_gate,
     new_basis_state,
     outcome_distribution,
@@ -606,7 +615,7 @@ def _singlet_prefix_state(n):
     "state, n, shots",
     [
         (hadamard_x13_state(4), 4, 3000),
-        (new_basis_state(6, "000000"), 6, 500),  # p_increase < 1, decrease pruned
+        (new_basis_state(6, "000000"), 6, 500),  # every decrease carries no weight
         (_singlet_prefix_state(5), 5, 2000),  # step 3 is a forced increase
         (hadamard_x13_state(4), 4, 1),
     ],
@@ -649,7 +658,12 @@ def test_sample_flips_a_drawn_branch_that_carries_no_weight():
         def random(self):
             return np.nextafter(1.0, 0.0)
 
-    state = new_basis_state(6, "000000")
+    # |000000> plus a singlet on qubits 0, 1 of weight 1e-13: the first
+    # decrease carries 1e-13 <= PRUNE_TOL, so the drawn decrease is pruned
+    amps = np.zeros(64, dtype=complex)
+    amps[0] = np.sqrt(1 - 1e-13)
+    amps[1], amps[2] = np.sqrt(0.5e-13), -np.sqrt(0.5e-13)
+    state = StateVector(amps)
     sampler = SequentialPathSampler(state, 6)
     p_increase, children = sampler._branch((), sampler._root)
     assert p_increase < np.nextafter(1.0, 0.0) and set(children) == {1}
@@ -679,6 +693,91 @@ def test_method_c_counts_simulates_each_branch_once(monkeypatch):
     monkeypatch.setattr(SequentialPathSampler, "_branch", counted)
     method_c_counts(random_state(6, np.random.default_rng(73)), 6, 3000, seed=5)
     assert calls and max(calls.values()) == 1
+
+
+def _expanded_nodes(state, n):
+    """Every node of the fully expanded tree whose step test runs: (prefix, node, j)."""
+    sampler = SequentialPathSampler(state, n)
+    sampler._leaf_weights()
+    for prefix, node in sampler._nodes:
+        if len(prefix) < n - 1 and node[1] > 0:
+            yield sampler, prefix, node, len(prefix) + 2
+
+
+def _tree_states(n_max):
+    """Random states, plus states whose tree holds forced and pruned steps."""
+    for n in range(2, n_max + 1):
+        yield random_state(n, np.random.default_rng(90 + n)), n
+    yield hadamard_x13_state(4), 4
+    yield _singlet_prefix_state(5), 5
+
+
+def _hadamard_step_test(system, j, n, two_S):
+    """Method C's step test as gates: H, controlled exp(i*pi*G), H on ancilla n.
+
+    Returns the ancilla-0 and ancilla-1 halves of the joint state."""
+    joint = StateVector(np.concatenate([system.amplitudes, np.zeros(1 << n)]))
+    apply_gate(joint, Gate(HADAMARD, (n,)))
+    spec = PhaseUnitary(build_step_operator(j, n, two_S), 0.5)
+    apply_controlled_phase_unitary(spec, joint, n)
+    apply_gate(joint, Gate(HADAMARD, (n,)))
+    return joint.amplitudes.reshape(2, -1)
+
+
+def test_branch_matches_gate_level_hadamard_test_on_every_node():
+    checked = 0
+    for state, n in _tree_states(6):
+        for sampler, prefix, node, j in _expanded_nodes(state, n):
+            system, two_S = node
+            p_increase, children = sampler._branch(prefix, node)
+            halves = _hadamard_step_test(system, j, n, two_S)
+            weights = [float(np.vdot(h, h).real) for h in halves]
+            assert abs(p_increase - weights[1]) <= 1e-12
+            assert set(children) == {bit for bit in (0, 1) if weights[bit] > 1e-12}
+            for bit, (child, child_two_S) in children.items():
+                assert child_two_S == two_S + (1 if bit else -1)
+                expected = halves[bit] / np.sqrt(weights[bit])
+                assert np.max(np.abs(child.amplitudes - expected)) <= 1e-12
+            checked += 1
+    assert checked > 40
+
+
+def test_increase_branch_lies_in_the_step_operators_unit_eigenspace():
+    # on every node of the tree G is a projector: G(G psi) = G psi
+    for state, n in _tree_states(8):
+        for _, prefix, (system, two_S), j in _expanded_nodes(state, n):
+            g = build_step_operator(j, n, two_S)
+            up = g.apply(system.amplitudes)
+            assert np.linalg.norm(g.apply(up) - up) <= 1e-12
+
+
+def test_sequential_methods_run_no_dense_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator was built for a sequential method")
+
+    for module in (spin, evolution, filtering):
+        for name in ("eigen_blocks", "_exact_blocks", "eigen_oracle"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(TranspositionSum, "to_dense", refuse)
+    monkeypatch.setattr(TranspositionSum, "dense_on_support", refuse)
+    for n in (2, 5, 8):
+        state = random_state(n, np.random.default_rng(95 + n))
+        assert sum(method_c_counts(state, n, 300, seed=n).values()) == 300
+        method_c(state, n, rng=n)
+        outcomes = run_filter(state, n, "c-deferred")[2]
+        assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sampler_refuses_a_tree_above_the_byte_limit_before_copying(monkeypatch):
+    state = random_state(6, np.random.default_rng(96))
+    # 6 qubits: at most 1 + 2 + 3 + 6 + 10 + 20 = 42 nodes of 2^6 amplitudes
+    monkeypatch.setattr(filtering, "SAMPLER_MAX_BYTES", 42 * 64 * 16)
+    SequentialPathSampler(state, 6)
+    monkeypatch.setattr(filtering, "SAMPLER_MAX_BYTES", 42 * 64 * 16 - 1)
+    monkeypatch.setattr(StateVector, "copy", lambda self: pytest.fail("state was copied"))
+    with pytest.raises(CapacityError, match="path tree"):
+        SequentialPathSampler(state, 6)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -746,16 +845,6 @@ def test_deferred_matches_sequential_tree(n):
         assert p == pytest.approx(tree[label], abs=1e-10)
 
 
-def test_deferred_step_gates_are_validated_once_per_process():
-    state = random_state(5, np.random.default_rng(61))
-    first = method_c_deferred_final_state(state, 5)[0].amplitudes
-    misses = _exact_blocks.cache_info().misses
-    again = method_c_deferred_final_state(state, 5)[0].amplitudes
-    # every step factor came from the cache, where it was checked unitary once
-    assert _exact_blocks.cache_info().misses == misses
-    assert np.array_equal(first, again)
-
-
 def test_every_hadamard_wall_starts_on_a_fresh_register(monkeypatch):
     wall = filtering._hadamard_wall
     calls = defaultdict(int)
@@ -769,11 +858,50 @@ def test_every_hadamard_wall_starts_on_a_fresh_register(monkeypatch):
     monkeypatch.setattr(filtering, "_hadamard_wall", probe)
     for n in (2, 3, 4, 5):
         state = random_state(n, np.random.default_rng(70 + n))
-        for method in ("a", "b-s2j", "b-hj", "c-deferred"):
+        for method in ("a", "b-s2j", "b-hj"):
             run_filter(state, n, method)
-        method = "c"
-        method_c_counts(state, n, 500, seed=n)
-    assert set(calls) == {"a", "b-s2j", "b-hj", "c-deferred", "c"}
+    assert set(calls) == {"a", "b-s2j", "b-hj"}
+
+
+def _history_controlled_circuit(state, n):
+    """The deferred filter as gates, the reference of its joint state.
+
+    Per step j: H on its ancilla; for each reachable history of the earlier
+    step bits, exp(i*pi*G) from the dense oracle, controlled on that history
+    and on the ancilla; H again.  G is the step operator of the history's
+    prefix spin 2S', taken with 2S' = 0 too, where it is 1 on the prefix.
+    """
+    layout = layout_for(n, "c-deferred")
+    ancillas = layout.ancilla_qubits()
+    amps = np.zeros(1 << layout.total_qubits, dtype=complex)
+    amps[: 1 << n] = state.amplitudes
+    joint = StateVector(amps)
+    histories = [((), 1)]
+    for j in range(2, n + 1):
+        apply_gate(joint, Gate(HADAMARD, (ancillas[j - 2],)))
+        for bits, two_S in histories:
+            g = TranspositionSum(num_qubits=n, identity_coefficient=(two_S + 3 - j) / 2,
+                                 pairs=tuple((i, j - 1) for i in range(j - 1)),
+                                 denominator=two_S + 1)
+            oracle = eigen_oracle(g)
+            unitary = sum(np.exp(1j * np.pi * lam) * p
+                          for lam, p in zip(oracle.eigenvalues, oracle.projectors))
+            apply_controlled(joint, ancillas[: j - 1], bits + (1,), Gate(unitary, range(n)))
+        apply_gate(joint, Gate(HADAMARD, (ancillas[j - 2],)))
+        histories = [(bits + (bit,), two_S + 2 * bit - 1)
+                     for bits, two_S in histories for bit in (0, 1) if two_S + 2 * bit >= 1]
+    return joint
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_deferred_joint_state_matches_history_controlled_circuit(n):
+    states = [random_state(n, np.random.default_rng(65 + n))]
+    if n == 5:
+        states.append(_singlet_prefix_state(5))
+    for state in states:
+        got = method_c_deferred_final_state(state, n)[0].amplitudes
+        expected = _history_controlled_circuit(state, n).amplitudes
+        assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

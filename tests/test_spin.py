@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tqsf.errors import DecodeError
 from tqsf.evolution import coupling_phase_unitary, prefix_spin_phase_unitary, total_spin_phase_unitary
@@ -247,6 +249,31 @@ def test_transposition_action_on_basis():
     v[1] = 1.0  # qubit0=1, qubit1=0
     out = p @ v
     assert np.flatnonzero(out).tolist() == [2]
+
+
+@st.composite
+def transposition_sums(draw):
+    n = draw(st.integers(1, 8))
+    all_pairs = list(itertools.combinations(range(n), 2))
+    pairs = draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else []
+    coefficient = st.floats(-3.0, 3.0, allow_nan=False)
+    denominator = draw(st.floats(0.25, 8.0) | st.floats(-8.0, -0.25))
+    return TranspositionSum(num_qubits=n, identity_coefficient=draw(coefficient),
+                            pairs=tuple(pairs),
+                            pair_coefficients=tuple(draw(coefficient) for _ in pairs),
+                            denominator=denominator)
+
+
+@settings(deadline=None, max_examples=60)
+@given(transposition_sums(), st.integers(0, 2**32 - 1))
+def test_matrix_free_apply_matches_dense(op, seed):
+    psi = random_state(op.num_qubits, np.random.default_rng(seed)).amplitudes
+    before = psi.copy()
+    got = op.apply(psi)
+    scale = (abs(op.identity_coefficient) + sum(map(abs, op.pair_coefficients))) / abs(
+        op.denominator)
+    assert np.max(np.abs(got - op.to_dense() @ psi)) <= 1e-12 * max(scale, 1.0)
+    assert np.array_equal(psi, before)  # the input is left untouched
 
 
 def test_commutation_family():
