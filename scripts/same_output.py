@@ -39,11 +39,13 @@ def _configs(state_file):
     runs += [(m, 5, 5, 20000, ()) for m in METHODS]
     runs += [
         ("a", 10, 10, 100000, ()),
+        ("b-hj", 5, 5, 100000, ()),
         ("c", 10, 10, 20000, ()),
         ("c", 12, 12, 20000, ()),
         ("c-deferred", 8, 8, 100000, ()),
         ("a", 8, 8, 2000, ("--mode", "trotter", "--trotter-steps", "16")),
         ("b-s2j", 4, 4, 2000, ("--mode", "trotter", "--trotter-steps", "16")),
+        ("b-s2j", 5, 5, 10000, ("--mode", "trotter", "--trotter-steps", "16")),
         ("b-hj", 4, 4, 2000, ("--mode", "trotter")),
         ("a", 5, 5, 2000, ("--mode", "trotter", "--trotter-steps", "3")),
     ]

@@ -39,7 +39,7 @@ from .filtering import (
     run_filter,
 )
 from .spin import SpinLabel
-from .statevector import MAX_QUBITS, StateVector, sample_counts
+from .statevector import MAX_QUBITS, StateVector, _sample_marginal
 from .states import load_amplitudes, preset_state
 from .verification import run_verification
 
@@ -152,14 +152,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
         layout = layout_for(config.n, "c")
         outcomes, sampled = _run_sequential(state, config)
     else:
-        joint, layout, outcomes = run_filter(
-            state, config.n, config.method, config.mode, config.trotter_steps
-        )
-        sampled = {}
-        if config.shots:
-            counts = sample_counts(joint, layout.ancilla_qubits(), config.shots, config.seed)
-            for bits, count in counts.items():
-                sampled[_row_key(register_bits(int(bits, 2), layout))] = count
+        _, layout, outcomes, probs = run_filter(state, config.n, config.method, config.mode,
+                                                config.trotter_steps)
+        counts = _sample_marginal(probs, config.shots, config.seed) if config.shots else {}
+        sampled = {_row_key(register_bits(int(bits, 2), layout)): c for bits, c in counts.items()}
 
     rows = []
     for o in _sorted_outcomes(outcomes, layout):

@@ -16,7 +16,10 @@ Three filters are provided, named after the CLI's method tokens:
   from the sequential filter's path tree.
 
 Joint states place the n system qubits at indices 0..n-1 followed by the
-ancilla registers in the layout's declared order.
+ancilla registers in the layout's declared order.  Methods A and B run each
+block on the populated prefix: registers start in |0...0> and only their own
+block touches them, so all weight sits in the leading 2^m amplitudes, m - 1
+the highest qubit estimated so far; the view's norm check raises otherwise.
 """
 
 from __future__ import annotations
@@ -249,7 +252,8 @@ def run_qpe(state: StateVector, register, spec: PhaseUnitary) -> StateVector:
 
     After the block the register amplitudes encode the eigenphase integers;
     the operator spectrum is first verified to fit the register without
-    aliasing (exact binary fractions in exact mode).
+    aliasing (exact binary fractions in exact mode).  Acts on the whole of
+    `state`; the methods pass a view of the populated prefix (`_estimate`).
     """
     register = tuple(int(q) for q in register)
     _check_register(spec, len(register), exact_phases=spec.mode == "exact")
@@ -258,6 +262,16 @@ def run_qpe(state: StateVector, register, spec: PhaseUnitary) -> StateVector:
         apply_controlled_phase_unitary(spec, state, control, power=1 << k)
     qft(state, register, inverse=True)
     return state
+
+
+def _estimate(joint: StateVector, blocks) -> StateVector:
+    """Run each (register, PhaseUnitary) block in order on the populated prefix of
+    `joint`, in place; ancillas lie above the system, so registers bound the prefix."""
+    top = 0
+    for register, spec in blocks:
+        top = max(top, max(register) + 1)
+        run_qpe(StateVector(joint.amplitudes[: 1 << top], copy=False), register, spec)
+    return joint
 
 
 def register_bits(value: int, layout: RegisterLayout) -> dict[str, str]:
@@ -332,15 +346,15 @@ def decode_outcome(raw_bits: dict[str, str], layout: RegisterLayout, method: str
     return _decode(raw_bits, layout, method)[0]
 
 
-def _enumerate_register_outcomes(joint: StateVector, layout: RegisterLayout, method: str,
-                                 mode: str = "exact"):
-    """Yield one decoded FilterOutcome per register readout of nonzero weight.
+def _enumerate_register_outcomes(joint: StateVector, layout: RegisterLayout, probs: np.ndarray,
+                                 method: str, mode: str = "exact"):
+    """Yield one decoded FilterOutcome per readout of nonzero weight in `probs`,
+    the marginal over `layout.ancilla_qubits()`.
 
     In exact mode every readout decodes; in trotter mode the small weight
     leaked onto undecodable readouts is yielded under a None label.
     """
     ancillas = layout.ancilla_qubits()
-    probs = _marginal(joint, ancillas)
     for outcome in np.flatnonzero(probs > PRUNE_TOL):
         outcome = int(outcome)
         raw = register_bits(outcome, layout)
@@ -366,11 +380,11 @@ def run_filter(
     method: str,
     mode: str = "exact",
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
-) -> tuple[StateVector, RegisterLayout, list[FilterOutcome]]:
+) -> tuple[StateVector, RegisterLayout, list[FilterOutcome], np.ndarray]:
     """The shared pipeline of the coherent methods: simulate once, then decode.
 
-    Returns the pre-measurement joint state, its layout and the exact
-    outcome table; shots are sampled from that same joint state.
+    Returns the pre-measurement joint state, its layout, the exact outcome
+    table and the ancilla marginal it was read from, which shots sample.
     """
     if method == "a":
         joint, layout = method_a_final_state(state, n, mode, trotter_steps)
@@ -380,7 +394,9 @@ def run_filter(
         joint, layout = method_c_deferred_final_state(state, n)
     else:
         raise ValueError(f"method {method!r} has no single coherent circuit")
-    return joint, layout, list(_enumerate_register_outcomes(joint, layout, method, mode))
+    probs = _marginal(joint, layout.ancilla_qubits())
+    outcomes = list(_enumerate_register_outcomes(joint, layout, probs, method, mode))
+    return joint, layout, outcomes, probs
 
 
 def method_a_final_state(
@@ -392,10 +408,9 @@ def method_a_final_state(
     """Run the joint (S^2, S_z) filter circuit; returns the pre-measurement state."""
     layout = layout_for(n, "a")
     z, s = layout.register("z"), layout.register("S")
-    joint = _embed(state, layout)
-    run_qpe(joint, z, z_phase_unitary(n, len(z)))
-    run_qpe(joint, s, total_spin_phase_unitary(n, len(s), mode=mode, trotter_steps=trotter_steps))
-    return joint, layout
+    blocks = [(z, z_phase_unitary(n, len(z))),
+              (s, total_spin_phase_unitary(n, len(s), mode=mode, trotter_steps=trotter_steps))]
+    return _estimate(_embed(state, layout), blocks), layout
 
 
 def method_a(
@@ -413,14 +428,6 @@ def method_a(
     return run_filter(state, n, "a", mode, trotter_steps)[2]
 
 
-def _path_unitary(j: int, n: int, layout: RegisterLayout, variant: str,
-                  mode: str, trotter_steps: int) -> PhaseUnitary:
-    size = len(layout.register(f"path{j}"))
-    if variant == "s2j":
-        return prefix_spin_phase_unitary(j, n, size, mode=mode, trotter_steps=trotter_steps)
-    return coupling_phase_unitary(j, n, size, mode=mode, trotter_steps=trotter_steps)
-
-
 def method_b_final_state(
     state: StateVector,
     n: int,
@@ -433,12 +440,12 @@ def method_b_final_state(
         raise ValueError(f"unknown variant {variant!r}; expected 's2j' or 'hj'")
     if layout is None:
         layout = layout_for(n, f"b-{variant}")
-    joint = _embed(state, layout)
-    run_qpe(joint, layout.register("z"), z_phase_unitary(n, len(layout.register("z"))))
-    for j in range(2, n + 1):
-        spec = _path_unitary(j, n, layout, variant, mode, trotter_steps)
-        run_qpe(joint, layout.register(f"path{j}"), spec)
-    return joint, layout
+    build = prefix_spin_phase_unitary if variant == "s2j" else coupling_phase_unitary
+    z, paths = layout.register("z"), [layout.register(f"path{j}") for j in range(2, n + 1)]
+    blocks = [(z, z_phase_unitary(n, len(z)))] + [
+        (path, build(j, n, len(path), mode=mode, trotter_steps=trotter_steps))
+        for j, path in enumerate(paths, 2)]
+    return _estimate(_embed(state, layout), blocks), layout
 
 
 def method_b(
@@ -455,7 +462,8 @@ def method_b(
     prefix total spin, i.e. a single state of the degenerate (S, M) sector.
     """
     joint, layout = method_b_final_state(state, n, variant, mode, trotter_steps, layout)
-    return list(_enumerate_register_outcomes(joint, layout, f"b-{variant}", mode))
+    probs = _marginal(joint, layout.ancilla_qubits())
+    return list(_enumerate_register_outcomes(joint, layout, probs, f"b-{variant}", mode))
 
 
 class SequentialPathSampler:

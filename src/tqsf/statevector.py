@@ -313,11 +313,15 @@ def sample_counts(state: StateVector, qubits, shots: int, seed: int) -> dict[str
         raise ValueError("shots must be >= 1")
     qubits = [int(q) for q in qubits]
     _check_qubits(state, qubits)
-    p = _marginal(state, qubits)
-    p = p / p.sum()
+    return _sample_marginal(_marginal(state, qubits), shots, seed)
+
+
+def _sample_marginal(probs: np.ndarray, shots: int, seed: int) -> dict[str, int]:
+    """Counts of `shots` seeded draws from a `_marginal` vector, keyed by readout bitstring."""
+    p = probs / probs.sum()
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(shots, p)
-    width = len(qubits)
+    width = probs.size.bit_length() - 1
     return {
         format_bits(i, width): int(counts[i]) for i in np.flatnonzero(counts)
     }

@@ -311,6 +311,8 @@ def run_verification(n_max: int, states_per_n: int = 10, seed: int = DEFAULT_SEE
     """Run the whole suite for n = 2..n_max; returns a machine-readable report."""
     if not 2 <= n_max <= 6:
         raise ValueError("n_max must be between 2 and 6")
+    if states_per_n < 1:
+        raise ValueError("states_per_n must be >= 1")
     checks: list[Check] = []
     for n in range(2, n_max + 1):
         checks.append(check_swap_involution(n))

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tqsf import filtering, statevector
 from tqsf.cli import ExperimentConfig, main, rng_demo, run_experiment
 from tqsf.filtering import (
     PathLabel,
@@ -122,6 +123,23 @@ def test_run_counts_sample_the_final_state(method, mode):
     got = {"".join(row["raw_bits"][name] for name in names): row["count"]
            for row in doc["outcomes"]}
     assert {bits: count for bits, count in got.items() if count} == expected
+
+
+@pytest.mark.parametrize("method", ["a", "b-hj", "c-deferred"])
+def test_sampled_run_computes_one_ancilla_marginal(monkeypatch, method):
+    calls = []
+    marginal = statevector._marginal
+
+    def counted(state, qubits):
+        calls.append(state.num_qubits)
+        return marginal(state, qubits)
+
+    for module in (filtering, statevector):
+        monkeypatch.setattr(module, "_marginal", counted)
+    doc = run_experiment(ExperimentConfig(n=4, initial_state="hadamard-x13", method=method,
+                                          shots=1000, seed=5))
+    assert sum(row["count"] for row in doc["outcomes"]) == 1000
+    assert calls == [doc["layout"]["total_qubits"]]
 
 
 def test_run_method_c_rows_are_method_c_counts():
@@ -342,6 +360,15 @@ def test_verify_full_range_n6(capsys):
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
     assert "[PASS] oracle-equivalence-n6" in out
+
+
+@pytest.mark.parametrize("states_per_n", ["0", "-2"])
+def test_verify_rejects_fewer_than_one_state_per_n(capsys, states_per_n):
+    rc = main(["verify", "--n-max", "3", "--states-per-n", states_per_n])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "[PASS]" not in captured.out
+    assert "states_per_n must be >= 1" in captured.err
 
 
 @pytest.mark.parametrize("n_max", ["2", "3"])

@@ -3,15 +3,17 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tqsf.errors import AliasingError, CapacityError, DecodeError
 from tqsf import filtering
-from tqsf import evolution, spin
+from tqsf import evolution, spin, statevector
 from tqsf.evolution import (
     PhaseUnitary,
     apply_controlled_phase_unitary,
+    coupling_phase_unitary,
+    prefix_spin_phase_unitary,
     total_spin_phase_unitary,
     z_phase_unitary,
 )
@@ -20,13 +22,15 @@ from tqsf.filtering import (
     RegisterLayout,
     SequentialPathSampler,
     _check_register,
-    _path_unitary,
+    _embed,
+    _estimate,
     _UNIFORM_CHUNK,
     decode_outcome,
     layout_for,
     method_a,
     method_a_final_state,
     method_b,
+    method_b_final_state,
     method_c,
     method_c_counts,
     method_c_deferred,
@@ -182,8 +186,9 @@ def test_check_register_accepts_every_layout_size(method):
         if method == "a":
             specs["S"] = total_spin_phase_unitary(n, sizes["S"])
         else:
+            build = prefix_spin_phase_unitary if method == "b-s2j" else coupling_phase_unitary
             for j in range(2, n + 1):
-                specs[f"path{j}"] = _path_unitary(j, n, layout, method[2:], "exact", 0)
+                specs[f"path{j}"] = build(j, n, sizes[f"path{j}"])
         for name, spec in specs.items():
             _check_register(spec, sizes[name], exact_phases=True)
             checked += 1
@@ -484,6 +489,89 @@ def test_method_b_undersized_layout_raises():
     )
     with pytest.raises(AliasingError):
         method_b(hadamard_x13_state(n), n, "hj", layout=layout)
+
+
+# --------------------------------------------------- populated-prefix blocks
+
+
+def _descending_layout(n, method):
+    """The default register sizes placed top down, each register's qubits reversed."""
+    top = layout_for(n, method).total_qubits
+    registers = []
+    for name, size in layout_for(n, method).register_sizes().items():
+        top -= size
+        registers.append((name, tuple(reversed(range(top, top + size)))))
+    return RegisterLayout(num_system=n, registers=tuple(registers))
+
+
+def _full_state_reference(state, n, method, mode, steps, layout):
+    """Embed, then every block's `run_qpe` on the full joint state."""
+    joint = _embed(state, layout)
+    z = layout.register("z")
+    blocks = [(z, z_phase_unitary(n, len(z)))]
+    if method == "a":
+        s = layout.register("S")
+        blocks.append((s, total_spin_phase_unitary(n, len(s), mode, steps)))
+    else:
+        build = prefix_spin_phase_unitary if method == "b-s2j" else coupling_phase_unitary
+        for j in range(2, n + 1):
+            path = layout.register(f"path{j}")
+            blocks.append((path, build(j, n, len(path), mode, steps)))
+    for register, spec in blocks:
+        run_qpe(joint, register, spec)
+    return joint.amplitudes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["a", "b-s2j", "b-hj"]), st.integers(2, 5), st.integers(0, 3),
+       st.booleans(), st.integers(0, 2**32 - 1))
+@example("b-hj", 5, 0, True, 7)
+@example("b-s2j", 4, 2, True, 8)
+def test_prefix_blocks_match_full_state_blocks(method, n, steps, descending, seed):
+    """steps = 0 is exact mode, 1..3 trotter mode with that many steps."""
+    mode = "trotter" if steps else "exact"
+    state = random_state(n, np.random.default_rng(seed))
+    layout = None
+    if method == "a":
+        joint, layout = method_a_final_state(state, n, mode, steps or 1)
+    else:
+        if descending:
+            layout = _descending_layout(n, method)
+        joint, layout = method_b_final_state(state, n, method[2:], mode, steps or 1, layout)
+    expected = _full_state_reference(state, n, method, mode, steps or 1, layout)
+    assert np.array_equal(joint.amplitudes, expected)
+
+
+def test_each_block_works_on_its_populated_prefix(monkeypatch):
+    blocks = []
+    qpe, apply_matrix = filtering.run_qpe, statevector._apply_matrix
+
+    def spy_qpe(state, register, spec):
+        blocks.append([state.num_qubits])
+        return qpe(state, register, spec)
+
+    def spy_apply_matrix(amps, num_qubits, *args):
+        blocks[-1].append(num_qubits)
+        return apply_matrix(amps, num_qubits, *args)
+
+    monkeypatch.setattr(filtering, "run_qpe", spy_qpe)
+    for module in (statevector, evolution):
+        monkeypatch.setattr(module, "_apply_matrix", spy_apply_matrix)
+    joint, layout = method_b_final_state(random_state(5, np.random.default_rng(3)), 5, "hj")
+    assert layout.total_qubits == joint.num_qubits == 18
+    assert [sorted(set(qubits)) for qubits in blocks] == [[8], [10], [12], [15], [18]]
+    assert all(len(qubits) > 1 for qubits in blocks)  # each block reached _apply_matrix
+
+
+def test_estimate_rejects_weight_above_the_populated_prefix():
+    n = 3
+    layout = layout_for(n, "b-hj")
+    joint = _embed(random_state(n, np.random.default_rng(5)), layout)
+    joint.amplitudes[:] *= np.sqrt(0.75)
+    joint.amplitudes[-1] = 0.5  # weight 1/4 on the top qubit, which the z block does not reach
+    z = layout.register("z")
+    with pytest.raises(ValueError, match="norm"):
+        _estimate(joint, [(z, z_phase_unitary(n, len(z)))])
 
 
 # ----------------------------------------------------------------- method C

@@ -40,3 +40,11 @@ def test_run_verification_rejects_large_n():
 
     with pytest.raises(ValueError):
         run_verification(9)
+
+
+def test_run_verification_rejects_fewer_than_one_state_per_n():
+    import pytest
+
+    for states_per_n in (0, -1):
+        with pytest.raises(ValueError, match="states_per_n"):
+            run_verification(2, states_per_n=states_per_n)
