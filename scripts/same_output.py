@@ -43,6 +43,7 @@ def _configs(state_file):
         ("c", 10, 10, 20000, ()),
         ("c", 12, 12, 20000, ()),
         ("c-deferred", 8, 8, 100000, ()),
+        ("c-deferred", 9, 9, 100000, ()),  # the `sequential` workload's c-deferred request
         ("a", 8, 8, 2000, ("--mode", "trotter", "--trotter-steps", "16")),
         ("b-s2j", 4, 4, 2000, ("--mode", "trotter", "--trotter-steps", "16")),
         ("b-s2j", 5, 5, 10000, ("--mode", "trotter", "--trotter-steps", "16")),
@@ -58,6 +59,8 @@ def _configs(state_file):
                      "--shots", str(shots), *extra,
                      "--out", f"{name}.json", "--csv", f"{name}.csv"]
     yield "verify-n6", ["verify", "--n-max", "6"]
+    # random states other than the default ones through the oracle checks
+    yield "verify-n6-seed99", ["verify", "--n-max", "6", "--states-per-n", "3", "--seed", "99"]
     yield "rng-demo-n12", ["rng-demo", "--n", "12", "--shots", "5000", "--out", "rng.csv"]
 
 

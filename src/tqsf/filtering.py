@@ -223,8 +223,9 @@ def qft(state: StateVector, register, inverse: bool = False) -> StateVector:
     return apply_gate(state, Gate(matrix, register))
 
 
-def _check_register(spec: PhaseUnitary, register_size: int, exact_phases: bool) -> None:
+def _check_register(spec: PhaseUnitary, register_size: int) -> None:
     """Reject registers that alias the spectrum or break exact binary phases."""
+    exact_phases = spec.mode == "exact"
     scale = (1 << register_size) * spec.alpha
     seen: dict[int, float] = {}
     for lam in spectrum(spec.operator):
@@ -256,7 +257,7 @@ def run_qpe(state: StateVector, register, spec: PhaseUnitary) -> StateVector:
     `state`; the methods pass a view of the populated prefix (`_estimate`).
     """
     register = tuple(int(q) for q in register)
-    _check_register(spec, len(register), exact_phases=spec.mode == "exact")
+    _check_register(spec, len(register))
     _hadamard_wall(state, register)
     for k, control in enumerate(register):
         apply_controlled_phase_unitary(spec, state, control, power=1 << k)
@@ -454,16 +455,13 @@ def method_b(
     variant: str,
     mode: str = "exact",
     trotter_steps: int = DEFAULT_TROTTER_STEPS,
-    layout: RegisterLayout | None = None,
 ) -> list[FilterOutcome]:
     """Path-resolved filter: one outcome per (coupling path, M).
 
     The post state of each outcome is a simultaneous eigenstate of every
     prefix total spin, i.e. a single state of the degenerate (S, M) sector.
     """
-    joint, layout = method_b_final_state(state, n, variant, mode, trotter_steps, layout)
-    probs = _marginal(joint, layout.ancilla_qubits())
-    return list(_enumerate_register_outcomes(joint, layout, probs, f"b-{variant}", mode))
+    return run_filter(state, n, f"b-{variant}", mode, trotter_steps)[2]
 
 
 class SequentialPathSampler:

@@ -10,8 +10,10 @@ this module are stored in that symbolic form, applied matrix-free
 (`TranspositionSum.apply`) or densified on demand.  A transposition sum
 keeps the 1-count of a basis state, so the run path diagonalises it one
 weight block at a time (`eigen_blocks`).  The full dense
-eigendecomposition (`eigen_oracle`, `project_SM`) is used only by
-verification, as an independent check of the filtering circuits.
+eigendecomposition (`eigen_oracle`) is used only by verification, as an
+independent check of the filtering circuits; `project_SM` reads an (S, M)
+weight from it as mask * (P_S @ (mask * psi)), with P_S the oracle's S^2
+projector and the mask selecting the basis states of 1-count n/2 - M.
 
 Spin quantum numbers are carried as integers 2S and 2M to keep half-integer
 arithmetic exact.
@@ -259,15 +261,6 @@ def eigen_oracle(op) -> ProjectorSet:
         raise CapacityError(
             f"oracle limited to {ORACLE_MAX_QUBITS} qubits, got {op.num_qubits}"
         )
-    if isinstance(op, HammingWeightOperator):
-        diag = op.diagonal()
-        eigenvalues = []
-        projectors = []
-        for k in range(op.num_qubits + 1):
-            mask = (diag == k).astype(np.complex128)
-            eigenvalues.append(float(k))
-            projectors.append(np.diag(mask))
-        return ProjectorSet(op, tuple(eigenvalues), tuple(projectors))
     dense = op.to_dense()
     w, v = np.linalg.eigh(dense)
     eigenvalues = []
@@ -314,24 +307,6 @@ def spectrum(op) -> tuple[float, ...]:
     return tuple(values)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _joint_projectors(n: int) -> dict[SpinLabel, np.ndarray]:
-    """Projectors onto every simultaneous (S, M) eigenspace of n qubits."""
-    s2 = eigen_oracle(build_total_spin_squared(n))
-    weight_diag = build_hamming_weight(n).diagonal()
-    out: dict[SpinLabel, np.ndarray] = {}
-    for two_S in range(n % 2, n + 1, 2):
-        s_val = (two_S / 2) * (two_S / 2 + 1)
-        p_s = s2.projector_for(s_val)
-        for two_M in range(-two_S, two_S + 1, 2):
-            k = (n - two_M) // 2
-            mask = (weight_diag == k).astype(np.float64)
-            # S^2 and the 1-count commute, so masking rows and columns of
-            # P_S yields the joint projector
-            out[SpinLabel(two_S, two_M)] = p_s * np.outer(mask, mask)
-    return out
-
-
 def project_SM(state: StateVector, label: SpinLabel) -> tuple[float, StateVector | None]:
     """Weight of `state` on the (S, M) eigenspace and the normalized projection.
 
@@ -339,8 +314,9 @@ def project_SM(state: StateVector, label: SpinLabel) -> tuple[float, StateVector
     """
     n = state.num_qubits
     label.validate_for(n)
-    proj = _joint_projectors(n)[label]
-    projected = proj @ state.amplitudes
+    p_s = eigen_oracle(build_total_spin_squared(n)).projector_for(label.S * (label.S + 1))
+    mask = build_hamming_weight(n).diagonal() == (n - label.two_M) // 2
+    projected = np.where(mask, p_s @ np.where(mask, state.amplitudes, 0), 0)
     amplitude = float(np.real(np.vdot(state.amplitudes, projected)))
     if amplitude <= EMPTY_COMPONENT_TOL:
         return max(amplitude, 0.0), None

@@ -20,6 +20,7 @@ from .filtering import (
     layout_for,
     method_a,
     method_b,
+    method_b_final_state,
     method_c_counts,
     method_c_deferred,
 )
@@ -280,7 +281,7 @@ def check_undersized_register_detected(j: int = 4) -> Check:
     sizes[f"path{j}"] = max(1, int(np.floor(np.log2(j - 1))) + 1)
     layout = RegisterLayout.from_sizes(n, sizes.items())
     try:
-        method_b(state, n, "hj", layout=layout)
+        method_b_final_state(state, n, "hj", layout=layout)
     except AliasingError as exc:
         return Check("undersized-register-aliasing", True, str(exc))
     return Check(

@@ -362,6 +362,19 @@ def test_verify_full_range_n6(capsys):
     assert "[PASS] oracle-equivalence-n6" in out
 
 
+def test_verify_exits_1_on_a_failing_check(monkeypatch, capsys):
+    from tqsf import cli
+
+    failing = {"name": "planted-check", "passed": False, "detail": "planted failure"}
+    monkeypatch.setattr(cli, "run_verification",
+                        lambda *args: {"passed": False, "checks": [failing]})
+    assert main(["verify"]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] planted-check: planted failure" in captured.out
+    assert "all checks passed" not in captured.out
+    assert "planted-check" in captured.err
+
+
 @pytest.mark.parametrize("states_per_n", ["0", "-2"])
 def test_verify_rejects_fewer_than_one_state_per_n(capsys, states_per_n):
     rc = main(["verify", "--n-max", "3", "--states-per-n", states_per_n])

@@ -543,7 +543,7 @@ def test_every_lru_cache_is_bounded():
             for name, value in vars(owner).items():
                 if hasattr(value, "cache_parameters"):
                     caches[name] = value.cache_parameters()["maxsize"]
-    assert {"_exact_blocks", "eigen_blocks", "eigen_oracle", "_joint_projectors"} <= set(caches)
+    assert {"_exact_blocks", "eigen_blocks", "eigen_oracle"} <= set(caches)
     assert all(maxsize is not None for maxsize in caches.values()), caches
 
 

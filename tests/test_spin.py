@@ -308,13 +308,46 @@ def test_oracle_capacity_error():
         eigen_oracle(big)
 
 
-def test_joint_projector_ranks_equal_degeneracy():
-    from tqsf.spin import _joint_projectors
+def _labels(n):
+    return [SpinLabel(two_S, two_M) for two_S in range(n % 2, n + 1, 2)
+            for two_M in range(-two_S, two_S + 1, 2)]
 
+
+def test_joint_projector_ranks_equal_degeneracy():
+    # the weights of the basis states e_i are the diagonal of P_(S,M); they sum to its rank
     for n in (2, 3, 4, 5):
-        for label, proj in _joint_projectors(n).items():
-            rank = round(float(np.real(np.trace(proj))))
-            assert rank == degeneracy(n, label.two_S)
+        basis = np.eye(1 << n, dtype=complex)
+        for label in _labels(n):
+            trace = sum(project_SM(StateVector(e), label)[0] for e in basis)
+            assert trace == pytest.approx(degeneracy(n, label.two_S), abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_project_sm_matches_the_masked_joint_projector(n):
+    """The reference formula: P_S with rows and columns masked to one 1-count."""
+    ps = eigen_oracle(build_total_spin_squared(n))
+    weight = build_hamming_weight(n).diagonal()
+    rng = np.random.default_rng(700 + n)
+    for _ in range(3):
+        state = random_state(n, rng)
+        for label in _labels(n):
+            mask = (weight == (n - label.two_M) // 2).astype(np.float64)
+            joint = ps.projector_for(label.S * (label.S + 1)) * np.outer(mask, mask)
+            projected = joint @ state.amplitudes
+            expected = float(np.real(np.vdot(state.amplitudes, projected)))
+            amp, got = project_SM(state, label)
+            assert abs(amp - expected) <= 1e-14
+            assert got is not None
+            assert np.max(np.abs(got.amplitudes - projected / np.sqrt(expected))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_oracle_of_the_hamming_weight_is_the_weight_masks(n):
+    op = build_hamming_weight(n)
+    ps = eigen_oracle(op)
+    assert ps.eigenvalues == tuple(float(k) for k in range(n + 1))
+    for k, proj in zip(range(n + 1), ps.projectors):
+        assert np.max(np.abs(proj - np.diag(op.diagonal() == k))) <= 1e-12
 
 
 def test_oracle_singlet_projector_rank():
