@@ -128,8 +128,7 @@ class HammingWeightOperator:
     num_qubits: int
 
     def diagonal(self) -> np.ndarray:
-        idx = np.arange(1 << self.num_qubits, dtype=np.uint64)
-        return _popcount(idx).astype(np.float64)
+        return _weights(self.num_qubits).astype(np.float64)
 
     def to_dense(self) -> np.ndarray:
         return np.diag(self.diagonal()).astype(np.complex128)
@@ -139,13 +138,13 @@ class HammingWeightOperator:
         return tuple(range(self.num_qubits))
 
 
-def _popcount(idx: np.ndarray) -> np.ndarray:
-    idx = idx.astype(np.uint64)
-    count = np.zeros_like(idx)
-    while idx.any():
-        count += idx & 1
-        idx >>= np.uint64(1)
-    return count
+def _weights(num_qubits: int) -> np.ndarray:
+    """1-count of each basis index 0 .. 2^num_qubits - 1, built by doubling:
+    the indices with the next qubit set weigh one more than those below."""
+    weights = np.zeros(1, dtype=np.int64)
+    for _ in range(num_qubits):
+        weights = np.concatenate([weights, weights + 1])
+    return weights
 
 
 @dataclass(frozen=True)
@@ -286,7 +285,7 @@ def eigen_blocks(op: TranspositionSum) -> tuple[tuple[np.ndarray, np.ndarray, np
     block diagonalises it.
     """
     dense, support = op.dense_on_support()
-    weights = _popcount(np.arange(dense.shape[0]))
+    weights = _weights(len(support))
     blocks = []
     for k in range(len(support) + 1):
         idx = np.flatnonzero(weights == k)

@@ -234,6 +234,9 @@ def test_hamming_weight_eigenvalues():
     assert diag[15] == 4         # |1111>
     assert diag[5] == 2          # |0101>
     assert sorted(set(diag)) == [0, 1, 2, 3, 4]
+    for n in range(1, 11):
+        reference = [bin(i).count("1") for i in range(1 << n)]
+        assert np.array_equal(build_hamming_weight(n).diagonal(), reference)
 
 
 def test_transposition_involution_exact():
