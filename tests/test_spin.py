@@ -27,6 +27,7 @@ from tqsf.spin import (
 )
 from tqsf.states import hadamard_state, random_state
 from tqsf.statevector import StateVector
+from tqsf.verification import _spin_labels
 
 
 def dense_eigs(op):
@@ -311,16 +312,11 @@ def test_oracle_capacity_error():
         eigen_oracle(big)
 
 
-def _labels(n):
-    return [SpinLabel(two_S, two_M) for two_S in range(n % 2, n + 1, 2)
-            for two_M in range(-two_S, two_S + 1, 2)]
-
-
 def test_joint_projector_ranks_equal_degeneracy():
     # the weights of the basis states e_i are the diagonal of P_(S,M); they sum to its rank
     for n in (2, 3, 4, 5):
         basis = np.eye(1 << n, dtype=complex)
-        for label in _labels(n):
+        for label in _spin_labels(n):
             trace = sum(project_SM(StateVector(e), label)[0] for e in basis)
             assert trace == pytest.approx(degeneracy(n, label.two_S), abs=1e-10)
 
@@ -333,7 +329,7 @@ def test_project_sm_matches_the_masked_joint_projector(n):
     rng = np.random.default_rng(700 + n)
     for _ in range(3):
         state = random_state(n, rng)
-        for label in _labels(n):
+        for label in _spin_labels(n):
             mask = (weight == (n - label.two_M) // 2).astype(np.float64)
             joint = ps.projector_for(label.S * (label.S + 1)) * np.outer(mask, mask)
             projected = joint @ state.amplitudes
