@@ -62,6 +62,11 @@ def _configs(state_file):
     # random states other than the default ones through the oracle checks
     yield "verify-n6-seed99", ["verify", "--n-max", "6", "--states-per-n", "3", "--seed", "99"]
     yield "rng-demo-n12", ["rng-demo", "--n", "12", "--shots", "5000", "--out", "rng.csv"]
+    # register sizing: every method at n=5, then method a's spin register at an
+    # even n, an odd n, and an odd n whose 21 qubits exit 3 with the total in the message
+    layouts = [(m, 5) for m in METHODS] + [("a", 10), ("a", 9), ("a", 11)]
+    for method, n in layouts:
+        yield f"layout-{method}-n{n}", ["layout", "--n", str(n), "--method", method]
 
 
 def _write_state(path: Path, n: int) -> None:

@@ -36,6 +36,7 @@ from .spin import (
     CACHE_SIZE,
     HammingWeightOperator,
     TranspositionSum,
+    _swap_indices,
     build_coupling_sum,
     build_prefix_spin_squared,
     build_total_spin_squared,
@@ -85,19 +86,18 @@ def _trotter_blocks(op: TranspositionSum, scale: float,
     over the support index, the block form `_apply_matrix` takes.
     """
     rank = {q: r for r, q in enumerate(op.support)}
-    order = [(rank[i], rank[j], 2 * np.pi * scale * c / (op.denominator * steps))
-             for (i, j), c in sorted(zip(op.pairs, op.pair_coefficients))]
+    angle = 2 * np.pi * scale / (op.denominator * steps)
+    order = [(rank[i], rank[j]) for i, j in sorted(op.pairs)]
     phase = np.exp(2j * np.pi * scale * op.identity_coefficient / op.denominator)
     pos = np.empty(1 << len(rank), dtype=np.intp)  # support index -> row in its block
     blocks = []
     for idx, _, _ in eigen_blocks(op):
         pos[idx] = np.arange(len(idx))
         sweep = np.eye(len(idx), dtype=np.complex128)
-        for ri, rj, a in order:
+        for ri, rj in order:
             # SWAP maps a row to the one with support bits ri and rj exchanged
-            differ = ((idx >> ri) ^ (idx >> rj)) & 1
-            partner = pos[idx ^ ((differ << ri) | (differ << rj))]
-            sweep = np.cos(a) * sweep + (1j * np.sin(a)) * sweep[partner]
+            partner = pos[_swap_indices(idx, ri, rj)]
+            sweep = np.cos(angle) * sweep + (1j * np.sin(angle)) * sweep[partner]
         blocks.append((idx, phase * np.linalg.matrix_power(sweep, steps)))
     return tuple(blocks)
 
@@ -133,13 +133,13 @@ def apply_swap_rotation(state: StateVector, alpha: float, i: int, j: int) -> Sta
     return state
 
 
-def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
+def _evolve(spec: PhaseUnitary, state: StateVector, power: int,
             control: int | None = None) -> StateVector:
     """U^power on the branch where `control` reads 1 (everywhere without one); in place.
 
-    Exact mode fetches the cached spectral factors of `_exact_blocks`,
-    trotter mode the fused powers of `_trotter_blocks`; both go through one
-    `_apply_matrix` call on the control slice.
+    Exact mode (`spec.mode`) fetches the cached spectral factors of
+    `_exact_blocks`, trotter mode the fused powers of `_trotter_blocks`; both
+    go through one `_apply_matrix` call on the control slice.
     """
     op = spec.operator
     scale = spec.alpha * power
@@ -153,9 +153,7 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
         # diagonal in either mode: a product of single-qubit phases, nothing to split
         view *= _hamming_phases(op, scale)
         return state
-    if mode == "trotter":
-        if spec.trotter_steps < 1:
-            raise ValueError("trotter_steps must be >= 1")
+    if spec.mode == "trotter":
         blocks = _trotter_blocks(op, scale, spec.trotter_steps)
     else:
         blocks = _exact_blocks(op, scale)
@@ -166,19 +164,19 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int, mode: str,
 
 def apply_exact(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:
     """Apply U^power using the operator's spectral decomposition; in place."""
-    return _evolve(spec, state, power, "exact")
+    return _evolve(replace(spec, mode="exact"), state, power)
 
 
 def apply_trotter(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:
     """First-order Trotter application of U^power; in place."""
-    return _evolve(spec, state, power, "trotter")
+    return _evolve(replace(spec, mode="trotter"), state, power)
 
 
 def apply_controlled_phase_unitary(
     spec: PhaseUnitary, state: StateVector, control: int, power: int = 1
 ) -> StateVector:
     """Apply U^power on the branch where `control` reads 1; in place."""
-    return _evolve(spec, state, power, spec.mode, control)
+    return _evolve(spec, state, power, control)
 
 
 def z_phase_unitary(n: int, register_size: int) -> PhaseUnitary:

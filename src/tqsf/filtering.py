@@ -348,7 +348,7 @@ def decode_outcome(raw_bits: dict[str, str], layout: RegisterLayout, method: str
 
 
 def _enumerate_register_outcomes(joint: StateVector, layout: RegisterLayout, probs: np.ndarray,
-                                 method: str, mode: str = "exact"):
+                                 method: str, mode: str):
     """Yield one decoded FilterOutcome per readout of nonzero weight in `probs`,
     the marginal over `layout.ancilla_qubits()`.
 

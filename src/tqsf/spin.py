@@ -44,23 +44,18 @@ CACHE_SIZE = 128
 
 @dataclass(frozen=True)
 class TranspositionSum:
-    """Hermitian operator (c_I * I + sum_p c_p * P_{i_p j_p}) / denominator."""
+    """Hermitian operator (c_I * I + sum_p P_{i_p j_p}) / denominator: unit pair
+    weights, an identity shift c_I and one common denominator."""
 
     num_qubits: int
     identity_coefficient: float = 0.0
     pairs: tuple[tuple[int, int], ...] = ()
-    pair_coefficients: tuple[float, ...] = ()
     denominator: float = 1.0
 
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("num_qubits must be >= 1")
         pairs = tuple((int(i), int(j)) for i, j in self.pairs)
-        coeffs = tuple(float(c) for c in self.pair_coefficients)
-        if not coeffs:
-            coeffs = (1.0,) * len(pairs)
-        if len(coeffs) != len(pairs):
-            raise ValueError("pair_coefficients length must match pairs")
         for i, j in pairs:
             if not 0 <= i < j < self.num_qubits:
                 raise ValueError(f"invalid pair ({i}, {j}) for {self.num_qubits} qubits")
@@ -69,25 +64,23 @@ class TranspositionSum:
         if self.denominator == 0:
             raise ValueError("denominator must be nonzero")
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "pair_coefficients", coeffs)
 
     @property
     def support(self) -> tuple[int, ...]:
         """Qubits the non-identity part acts on."""
         return tuple(sorted({q for pair in self.pairs for q in pair}))
 
-    def to_dense(self, num_qubits: int | None = None) -> np.ndarray:
-        """Dense matrix on `num_qubits` qubits (defaults to self.num_qubits)."""
-        n = self.num_qubits if num_qubits is None else num_qubits
+    def to_dense(self) -> np.ndarray:
+        """Dense matrix on num_qubits qubits."""
+        n = self.num_qubits
         if n > ORACLE_MAX_QUBITS:
             raise CapacityError(f"dense form of a {n}-qubit operator exceeds 2^{ORACLE_MAX_QUBITS}")
         dim = 1 << n
         out = np.zeros((dim, dim), dtype=np.complex128)
         np.fill_diagonal(out, self.identity_coefficient)
         idx = np.arange(dim)
-        for (i, j), c in zip(self.pairs, self.pair_coefficients):
-            swapped = _swap_indices(idx, i, j)
-            out[swapped, idx] += c
+        for i, j in self.pairs:
+            out[_swap_indices(idx, i, j), idx] += 1
         out /= self.denominator
         return out
 
@@ -96,8 +89,8 @@ class TranspositionSum:
         the counterpart of `to_dense`, with each transposition a view (`_swapped`)."""
         t = _tensor(amplitudes, self.num_qubits)
         out = self.identity_coefficient * t
-        for (i, j), c in zip(self.pairs, self.pair_coefficients):
-            out += c * _swapped(t, i, j)
+        for i, j in self.pairs:
+            out += _swapped(t, i, j)
         out /= self.denominator
         return out.reshape(-1)
 
@@ -177,13 +170,13 @@ class SpinLabel:
 class ProjectorSet:
     """Spectral decomposition of a Hermitian operator: one projector per eigenvalue."""
 
-    operator: object
     eigenvalues: tuple[float, ...]
     projectors: tuple[np.ndarray, ...]
 
-    def projector_for(self, eigenvalue: float, atol: float = 1e-6) -> np.ndarray:
+    def projector_for(self, eigenvalue: float) -> np.ndarray:
+        """The projector of the eigenvalue within 1e-6 of `eigenvalue`."""
         for lam, proj in zip(self.eigenvalues, self.projectors):
-            if abs(lam - eigenvalue) <= atol:
+            if abs(lam - eigenvalue) <= 1e-6:
                 return proj
         raise KeyError(f"no eigenvalue near {eigenvalue} in {self.eigenvalues}")
 
@@ -273,7 +266,7 @@ def eigen_oracle(op) -> ProjectorSet:
         eigenvalues.append(float(np.mean(w[i : k + 1])))
         projectors.append(block @ block.conj().T)
         i = k + 1
-    return ProjectorSet(op, tuple(eigenvalues), tuple(projectors))
+    return ProjectorSet(tuple(eigenvalues), tuple(projectors))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -336,7 +329,7 @@ def min_ancillas(kind: str, count: int) -> int:
 
     kind 'z': 1-count register for `count` qubits (integers 0..n).
     kind 's_even'/'s_odd': total-spin register for an even/odd number of
-    qubits; the register reads S(S+1)/2 resp. (S-1/2)(S+3/2).
+    qubits, which reads the integers of `encode_total_spin`.
     kind 'hj': pairwise-coupling register for prefix length j; sized
     ceil(log2(j+1)) so the shifted eigenvalues 0..j stay distinct (the
     looser bound log2(j-1) aliases the extreme eigenvalues, e.g. j=4).
@@ -345,16 +338,10 @@ def min_ancillas(kind: str, count: int) -> int:
         raise ValueError("count must be >= 1")
     if kind == "z":
         needed = count + 1
-    elif kind == "s_even":
-        if count % 2:
-            raise ValueError(f"kind 's_even' requires an even count, got {count}")
-        k = count // 2
-        needed = k * (k + 1) // 2 + 1
-    elif kind == "s_odd":
-        if count % 2 == 0:
-            raise ValueError(f"kind 's_odd' requires an odd count, got {count}")
-        k = (count - 1) // 2
-        needed = k * (k + 2) + 1
+    elif kind in ("s_even", "s_odd"):
+        if count % 2 != (kind == "s_odd"):
+            raise ValueError(f"kind {kind!r} requires an {kind[2:]} count, got {count}")
+        needed = encode_total_spin(count, count) + 1  # the top spin has the largest integer
     elif kind == "hj":
         if count < 2:
             raise ValueError("kind 'hj' requires count >= 2")
@@ -370,7 +357,11 @@ def spin_register_size(j: int) -> int:
 
 
 def encode_total_spin(two_S: int, num_spins: int) -> int:
-    """Register integer produced by an exact spin readout of `two_S`."""
+    """Register integer produced by an exact spin readout of `two_S`.
+
+    The one definition of the spin-register encoding: even qubit counts store
+    S(S+1)/2, odd counts (S-1/2)(S+3/2); both start at 0 and grow with S.
+    """
     if num_spins % 2 == 0:
         s = two_S // 2
         return s * (s + 1) // 2
@@ -379,22 +370,9 @@ def encode_total_spin(two_S: int, num_spins: int) -> int:
 
 
 def decode_total_spin(m: int, num_spins: int) -> int:
-    """Invert the spin-register phase map; raises DecodeError off the curve.
-
-    Even qubit counts store m = S(S+1)/2, odd counts m = (S-1/2)(S+3/2).
-    """
-    if m < 0:
-        raise DecodeError(f"register integer {m} is negative")
-    if num_spins % 2 == 0:
-        s = int((math.isqrt(1 + 8 * m) - 1) // 2)
-        if s * (s + 1) // 2 != m:
-            raise DecodeError(f"{m} is not a triangular number")
-        two_S = 2 * s
-    else:
-        jj = math.isqrt(m + 1) - 1
-        if jj * (jj + 2) != m:
-            raise DecodeError(f"{m} does not encode a half-integer spin")
-        two_S = 2 * jj + 1
-    if two_S > num_spins:
-        raise DecodeError(f"decoded 2S={two_S} exceeds {num_spins} qubits")
-    return two_S
+    """The 2S that `encode_total_spin` maps to `m`, looked up over the spins
+    `num_spins` qubits can have; raises DecodeError if there is none."""
+    for two_S in range(num_spins % 2, num_spins + 1, 2):
+        if encode_total_spin(two_S, num_spins) == m:
+            return two_S
+    raise DecodeError(f"register integer {m} encodes no total spin of {num_spins} qubits")

@@ -18,8 +18,6 @@ from .statevector import (
     new_basis_state,
 )
 
-PRESETS = ("hadamard", "hadamard-x13")
-
 
 def hadamard_state(n: int) -> StateVector:
     """Hadamard wall on |0...0>: the uniform, permutation-symmetric state."""

@@ -24,6 +24,7 @@ a view of the amplitudes taken before a call sees the call's update.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +148,15 @@ def _check_qubits(state: StateVector, qubits) -> None:
     for q in qubits:
         if not 0 <= q < state.num_qubits:
             raise ValueError(f"qubit index {q} out of range for {state.num_qubits} qubits")
+
+
+def _readout_qubits(state: StateVector, qubits) -> list[int]:
+    """`qubits` as a list of ints, checked to be integers, distinct and in range."""
+    qubits = [operator.index(q) for q in qubits]
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"qubits {qubits} must be distinct")
+    _check_qubits(state, qubits)
+    return qubits
 
 
 def _tensor(amps: np.ndarray, num_qubits: int) -> np.ndarray:
@@ -273,10 +283,7 @@ def _collapse(state: StateVector, qubits, outcome: int, probability: float) -> S
 
 def measure(state: StateVector, qubits, rng: np.random.Generator) -> MeasurementResult:
     """Born-rule measurement of `qubits`; collapses `state` in place."""
-    qubits = [int(q) for q in qubits]
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("measured qubits must be distinct")
-    _check_qubits(state, qubits)
+    qubits = _readout_qubits(state, qubits)
     p = _marginal(state, qubits)
     total = p.sum()
     if total < 1e-12:
@@ -296,10 +303,7 @@ def outcome_distribution(state: StateVector, qubits) -> dict[str, float]:
     Keys are bitstrings, most-significant qubit (qubits[-1]) first; entries
     with probability <= 1e-12 are pruned.
     """
-    qubits = [int(q) for q in qubits]
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("qubits must be distinct")
-    _check_qubits(state, qubits)
+    qubits = _readout_qubits(state, qubits)
     p = _marginal(state, qubits)
     width = len(qubits)
     return {
@@ -311,8 +315,7 @@ def sample_counts(state: StateVector, qubits, shots: int, seed: int) -> dict[str
     """Sample `shots` independent measurements of `qubits` (state untouched)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    qubits = [int(q) for q in qubits]
-    _check_qubits(state, qubits)
+    qubits = _readout_qubits(state, qubits)
     return _sample_marginal(_marginal(state, qubits), shots, seed)
 
 

@@ -269,13 +269,13 @@ def check_refilter_idempotence(n: int, seed: int = DEFAULT_SEED) -> Check:
     )
 
 
-def check_undersized_register_detected(j: int = 4) -> Check:
+def check_undersized_register_detected() -> Check:
     """The loose log2(j-1) coupling-register bound must trip the aliasing guard.
 
-    Only the register for step `j` is shrunk: with j = 4 the loose bound
+    Only the register for the last step j = n = 4 is shrunk: the loose bound
     gives 2 ancillas, merging the coupling eigenvalues -1 and 3 on cell 0.
     """
-    n = j
+    n = j = 4
     state = random_state(n, np.random.default_rng(DEFAULT_SEED))
     sizes = layout_for(n, "b-hj").register_sizes()
     sizes[f"path{j}"] = max(1, int(np.floor(np.log2(j - 1))) + 1)
@@ -289,8 +289,10 @@ def check_undersized_register_detected(j: int = 4) -> Check:
     )
 
 
-def check_sequential_final_spin(n: int, shots: int = 20000, seed: int = DEFAULT_SEED) -> Check:
-    """Sequential-filter final-spin frequencies vs the joint filter, at 4 sigma."""
+def check_sequential_final_spin(n: int, seed: int = DEFAULT_SEED) -> Check:
+    """Sequential-filter final-spin frequencies over 20,000 shots vs the joint filter,
+    at 4 sigma."""
+    shots = 20000
     rng = np.random.default_rng(seed + 500 + n)
     state = random_state(n, rng)
     exact: dict = defaultdict(float)

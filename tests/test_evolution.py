@@ -305,8 +305,8 @@ def test_controlled_trotter_sweep_matches_index_reference(steps):
     phase = np.exp(2j * np.pi * spec.alpha * op.identity_coefficient / op.denominator)
     expected = np.where(on, expected * phase, expected)
     for _ in range(steps):
-        for (i, j), c in sorted(zip(op.pairs, op.pair_coefficients)):
-            alpha = 2 * np.pi * spec.alpha * c / (op.denominator * steps)
+        for i, j in sorted(op.pairs):
+            alpha = 2 * np.pi * spec.alpha / (op.denominator * steps)
             expected = _index_swap_rotation(expected, alpha, i, j, control)
     apply_controlled_phase_unitary(spec, state, control)
     # the fused power rounds differently from the per-pair sweep
@@ -519,7 +519,7 @@ def test_exact_blocks_match_assembled_dense_under_controls(case, seed):
         dense = _assembled(blocks, m)
     gate = Gate(dense, op.support)
     expected = apply_controlled(state.copy(), controls, (1,) * len(controls), gate).amplitudes
-    _assert_updated_in_place(lambda s: _evolve(spec, s, power, "exact", control),
+    _assert_updated_in_place(lambda s: _evolve(spec, s, power, control),
                              state, expected)
     # the blocks cover the support index once; none is the dense 2^m x 2^m matrix
     if blocks:
@@ -560,10 +560,10 @@ def _per_pair_sweep(spec, state, power=1, control=None):
                 {} if control is None else {control: 1})
     if op.identity_coefficient:
         view *= np.exp(2j * np.pi * scale * op.identity_coefficient / op.denominator)
-    order = sorted(zip(op.pairs, op.pair_coefficients))
+    order = sorted(op.pairs)
     for _ in range(steps):
-        for (i, j), c in order:
-            _pair_rotate(view, 2 * np.pi * scale * c / (op.denominator * steps), i, j)
+        for i, j in order:
+            _pair_rotate(view, 2 * np.pi * scale / (op.denominator * steps), i, j)
     return state
 
 

@@ -260,12 +260,10 @@ def transposition_sums(draw):
     n = draw(st.integers(1, 8))
     all_pairs = list(itertools.combinations(range(n), 2))
     pairs = draw(st.lists(st.sampled_from(all_pairs), unique=True)) if all_pairs else []
-    coefficient = st.floats(-3.0, 3.0, allow_nan=False)
+    identity = draw(st.floats(-3.0, 3.0, allow_nan=False))
     denominator = draw(st.floats(0.25, 8.0) | st.floats(-8.0, -0.25))
-    return TranspositionSum(num_qubits=n, identity_coefficient=draw(coefficient),
-                            pairs=tuple(pairs),
-                            pair_coefficients=tuple(draw(coefficient) for _ in pairs),
-                            denominator=denominator)
+    return TranspositionSum(num_qubits=n, identity_coefficient=identity,
+                            pairs=tuple(pairs), denominator=denominator)
 
 
 @settings(deadline=None, max_examples=60)
@@ -274,8 +272,7 @@ def test_matrix_free_apply_matches_dense(op, seed):
     psi = random_state(op.num_qubits, np.random.default_rng(seed)).amplitudes
     before = psi.copy()
     got = op.apply(psi)
-    scale = (abs(op.identity_coefficient) + sum(map(abs, op.pair_coefficients))) / abs(
-        op.denominator)
+    scale = (abs(op.identity_coefficient) + len(op.pairs)) / abs(op.denominator)
     assert np.max(np.abs(got - op.to_dense() @ psi)) <= 1e-12 * max(scale, 1.0)
     assert np.array_equal(psi, before)  # the input is left untouched
 
@@ -478,6 +475,28 @@ def test_decode_total_spin_rejects_gaps():
         decode_total_spin(1, 3)
     with pytest.raises(DecodeError):
         decode_total_spin(6, 4)  # would need 2S = 6 > n
+
+
+def test_decode_inverts_encode_and_rejects_every_other_integer():
+    for j in range(1, 21):
+        spins = range(j % 2, j + 1, 2)
+        encoded = {encode_total_spin(two_S, j): two_S for two_S in spins}
+        assert len(encoded) == len(spins)
+        for m in range(1 << spin_register_size(j)):
+            if m in encoded:
+                assert decode_total_spin(m, j) == encoded[m]
+            else:
+                with pytest.raises(DecodeError):
+                    decode_total_spin(m, j)
+
+
+def test_spin_register_sizes_match_closed_forms():
+    # reference: closed forms of the largest register integer + 1, independent of the encoder
+    for count in range(1, 41):
+        k = count // 2
+        kind, needed = (("s_even", k * (k + 1) // 2 + 1) if count % 2 == 0
+                        else ("s_odd", k * (k + 2) + 1))
+        assert min_ancillas(kind, count) == max(1, math.ceil(math.log2(needed)))
 
 
 def test_spin_label_validation():

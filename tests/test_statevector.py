@@ -167,6 +167,16 @@ def test_sample_counts_rejects_zero_shots():
         sample_counts(new_basis_state(1, "0"), [0], 0, seed=1)
 
 
+@pytest.mark.parametrize("readout", [
+    lambda s: measure(s, [0, 0], np.random.default_rng(1)),
+    lambda s: outcome_distribution(s, [0, 0]),
+    lambda s: sample_counts(s, [0, 0], 10, 1),
+], ids=["measure", "outcome_distribution", "sample_counts"])
+def test_readouts_reject_repeated_qubits(readout):
+    with pytest.raises(ValueError, match="distinct"):
+        readout(new_basis_state(2, "00"))
+
+
 def test_norm_preserved_under_gate_sequences():
     rng = np.random.default_rng(9)
     s = random_state(4, rng)
