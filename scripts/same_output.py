@@ -48,6 +48,8 @@ def _configs(state_file):
         ("b-s2j", 4, 4, 2000, ("--mode", "trotter", "--trotter-steps", "16")),
         ("b-s2j", 5, 5, 10000, ("--mode", "trotter", "--trotter-steps", "16")),
         ("b-hj", 4, 4, 2000, ("--mode", "trotter")),
+        # n = 5 coupling-register leakage: most nonzero readouts decode to no path
+        ("b-hj", 5, 5, 10000, ("--mode", "trotter", "--trotter-steps", "2")),
         ("a", 5, 5, 2000, ("--mode", "trotter", "--trotter-steps", "3")),
     ]
     for method, n, state, shots, extra in runs:

@@ -8,8 +8,8 @@ block and apply the (indices, block) pairs in one `_apply_matrix` call,
 with no 2^m x 2^m matrix (gate fusion as in Häner & Steiger, SC'17,
 arXiv:1704.01127).
 Exact mode synthesises each block from the eigenvectors of
-`spin.eigen_blocks` (`_exact_blocks`); trotter mode builds one sweep of
-the per-pair SWAP rotations
+`spin.eigen_blocks` (`_exact_blocks`); trotter mode diagonalises nothing
+and builds one sweep of the per-pair SWAP rotations
 
     exp(i*a*P_ij) = cos(a) I + i sin(a) P_ij
 
@@ -37,6 +37,7 @@ from .spin import (
     HammingWeightOperator,
     TranspositionSum,
     _swap_indices,
+    _weights,
     build_coupling_sum,
     build_prefix_spin_squared,
     build_total_spin_squared,
@@ -79,7 +80,7 @@ def _trotter_blocks(op: TranspositionSum, scale: float,
                     steps: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """First-order trotter form of exp(2*pi*i * scale * op), one weight block at a time.
 
-    Per block of `spin.eigen_blocks(op)`, one sweep of the per-pair
+    Per weight block of the support (`spin._weights`), one sweep of the per-pair
     rotations in lexicographic (i, j) order is built on the block's
     identity and raised to `steps`; the identity part, which commutes with
     everything, enters as one exact phase. Returns (indices, block) pairs
@@ -90,8 +91,9 @@ def _trotter_blocks(op: TranspositionSum, scale: float,
     order = [(rank[i], rank[j]) for i, j in sorted(op.pairs)]
     phase = np.exp(2j * np.pi * scale * op.identity_coefficient / op.denominator)
     pos = np.empty(1 << len(rank), dtype=np.intp)  # support index -> row in its block
+    weights = _weights(len(rank))
     blocks = []
-    for idx, _, _ in eigen_blocks(op):
+    for idx in (np.flatnonzero(weights == k) for k in range(len(rank) + 1)):
         pos[idx] = np.arange(len(idx))
         sweep = np.eye(len(idx), dtype=np.complex128)
         for ri, rj in order:

@@ -42,6 +42,8 @@ from .spin import (
     SpinLabel,
     build_step_operator,
     decode_total_spin,
+    encode_coupling,
+    encode_total_spin,
     min_ancillas,
     spectrum,
     spin_register_size,
@@ -236,7 +238,7 @@ def _check_register(spec: PhaseUnitary, register_size: int) -> None:
                 f"eigenvalue {lam} maps to non-integer register value {value}"
             )
         cell = m % (1 << register_size)
-        if cell in seen and abs(seen[cell] - lam) > 1e-9:
+        if cell in seen:  # `spectrum` lists each eigenvalue once
             raise AliasingError(
                 f"eigenvalues {seen[cell]} and {lam} collide on register integer {cell} "
                 f"with {register_size} ancillas"
@@ -290,28 +292,16 @@ def register_bits(value: int, layout: RegisterLayout) -> dict[str, str]:
 
 
 def _decode_path(raw_bits: dict[str, str], n: int, variant: str) -> PathLabel:
-    """Coupling path from the prefix-spin (s2j) or coupling-sum (hj) registers."""
+    """Coupling path from the s2j or hj registers, each the encoding of one step 2S' +- 1 >= 0."""
     seq = [1]
     for j in range(2, n + 1):
         m = int(raw_bits[f"path{j}"], 2)
         prev = seq[-1]
-        if variant == "s2j":
-            two_S = decode_total_spin(m, j)
-            if abs(two_S - prev) != 1:
-                raise DecodeError(
-                    f"prefix spins 2S={prev} -> 2S={two_S} differ by more than one half step"
-                )
-        else:
-            h = m - 1
-            if 2 * h == prev + j - 1:
-                two_S = prev + 1
-            elif prev > 0 and 2 * h == -prev + j - 3:  # a zero spin cannot decrease
-                two_S = prev - 1
-            else:
-                raise DecodeError(
-                    f"coupling eigenvalue {h} impossible after prefix spin 2S={prev}"
-                )
-        seq.append(two_S)
+        steps = [two_S for two_S in (prev - 1, prev + 1) if two_S >= 0 and m == (
+            encode_total_spin(two_S, j) if variant == "s2j" else encode_coupling(two_S, prev, j))]
+        if not steps:
+            raise DecodeError(f"path{j} read {m}, which encodes no step from 2S={prev}")
+        seq.append(steps[0])
     return PathLabel(tuple(seq), tuple(int(b > a) for a, b in zip(seq, seq[1:])))
 
 
@@ -576,9 +566,7 @@ class SequentialPathSampler:
 
 def method_c(state: StateVector, n: int, rng) -> ShotRecord:
     """One shot of the sequential filter; `rng` is a seed or Generator."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    return SequentialPathSampler(state, n).sample(rng)
+    return SequentialPathSampler(state, n).sample(np.random.default_rng(rng))
 
 
 # Generator.random(k) yields the same doubles as k calls of random(), so the

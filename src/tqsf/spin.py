@@ -7,13 +7,12 @@ identity
 
 where P_ij is the SWAP (transposition) of qubits i and j.  All operators in
 this module are stored in that symbolic form, applied matrix-free
-(`TranspositionSum.apply`) or densified on demand.  A transposition sum
-keeps the 1-count of a basis state, so the run path diagonalises it one
-weight block at a time (`eigen_blocks`).  The full dense
-eigendecomposition (`eigen_oracle`) is used only by verification, as an
-independent check of the filtering circuits; `project_SM` reads an (S, M)
-weight from it as mask * (P_S @ (mask * psi)), with P_S the oracle's S^2
-projector and the mask selecting the basis states of 1-count n/2 - M.
+(`TranspositionSum.apply`) or densified on demand.  `spectrum` reads their
+eigenvalues from the spin identities; exact synthesis diagonalises them by
+1-count (`eigen_blocks`).  The dense eigendecomposition (`eigen_oracle`) is
+used only by verification, as an independent check of the circuits;
+`project_SM` reads an (S, M) weight from it as mask * (P_S @ (mask * psi)),
+with P_S its S^2 projector and the mask selecting 1-count n/2 - M.
 
 Spin quantum numbers are carried as integers 2S and 2M to keep half-integer
 arithmetic exact.
@@ -289,14 +288,21 @@ def eigen_blocks(op: TranspositionSum) -> tuple[tuple[np.ndarray, np.ndarray, np
 
 
 def spectrum(op) -> tuple[float, ...]:
-    """Distinct eigenvalues of the operator, clustered at CLUSTER_TOL."""
+    """Distinct eigenvalues of the operator, exact and ascending, from the spin identities.
+
+    Pairs joining each of m support qubits to every lower one, except among the lowest l,
+    sum to S^2_[m] - S^2_[l] + (l(4-l) - m(4-m))/4: one value per spin 2P of l qubits and
+    2S of m qubits with |2S - 2P| <= m - l. Any other pair set raises ValueError."""
     if isinstance(op, HammingWeightOperator):
         return tuple(float(k) for k in range(op.num_qubits + 1))
-    values: list[float] = []
-    for lam in np.sort(np.concatenate([w for _, w, _ in eigen_blocks(op)])):
-        if not values or lam - values[-1] >= CLUSTER_TOL:
-            values.append(float(lam))
-    return tuple(values)
+    m = len(op.support)
+    l = m - len({b for _, b in op.pairs})  # support qubits paired with no lower one
+    if len(op.pairs) != m * (m - 1) // 2 - l * (l - 1) // 2:  # reached only by the required set
+        raise ValueError(f"pairs {op.pairs} are no difference of two nested S^2 on the support")
+    return tuple(sorted({(op.identity_coefficient + (S * (S + 2) - P * (P + 2)
+                                                     + l * (4 - l) - m * (4 - m)) / 4)
+                         / op.denominator for P in range(l % 2, l + 1, 2)
+                         for S in range(m % 2, m + 1, 2) if abs(S - P) <= m - l}))
 
 
 def project_SM(state: StateVector, label: SpinLabel) -> tuple[float, StateVector | None]:
@@ -330,9 +336,8 @@ def min_ancillas(kind: str, count: int) -> int:
     kind 'z': 1-count register for `count` qubits (integers 0..n).
     kind 's_even'/'s_odd': total-spin register for an even/odd number of
     qubits, which reads the integers of `encode_total_spin`.
-    kind 'hj': pairwise-coupling register for prefix length j; sized
-    ceil(log2(j+1)) so the shifted eigenvalues 0..j stay distinct (the
-    looser bound log2(j-1) aliases the extreme eigenvalues, e.g. j=4).
+    kind 'hj': coupling register for prefix length j, which reads the integers 0..j
+    of `encode_coupling` (the looser bound log2(j-1) aliases 0 and j, e.g. j=4).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -345,7 +350,7 @@ def min_ancillas(kind: str, count: int) -> int:
     elif kind == "hj":
         if count < 2:
             raise ValueError("kind 'hj' requires count >= 2")
-        needed = count + 1
+        needed = encode_coupling(count, count - 1, count) + 1  # the top step's integer
     else:
         raise ValueError(f"unknown register kind {kind!r}")
     return max(1, math.ceil(math.log2(needed)))
@@ -376,3 +381,9 @@ def decode_total_spin(m: int, num_spins: int) -> int:
         if encode_total_spin(two_S, num_spins) == m:
             return two_S
     raise DecodeError(f"register integer {m} encodes no total spin of {num_spins} qubits")
+
+
+def encode_coupling(two_S: int, two_S_prev: int, j: int) -> int:
+    """Register integer h + 1 of the coupling sum h = S(S+1) - S'(S'+1) - (5-2j)/4, read at
+    step j from prefix spin 2S' = two_S_prev to 2S = two_S."""
+    return (two_S * (two_S + 2) - two_S_prev * (two_S_prev + 2) + 2 * j - 1) // 4

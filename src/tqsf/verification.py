@@ -26,6 +26,7 @@ from .filtering import (
 )
 from .spin import (
     SpinLabel,
+    TranspositionSum,
     build_coupling_sum,
     build_hamming_weight,
     build_prefix_spin_squared,
@@ -34,6 +35,7 @@ from .spin import (
     degeneracy,
     eigen_oracle,
     project_SM,
+    spectrum,
 )
 from .states import random_state
 
@@ -59,8 +61,6 @@ def _spin_labels(n: int):
 
 
 def _swap_dense(n: int, i: int, j: int) -> np.ndarray:
-    from .spin import TranspositionSum
-
     return TranspositionSum(num_qubits=n, pairs=((i, j),)).to_dense()
 
 
@@ -106,17 +106,15 @@ def check_swap_rotation_matches_exponential(n: int) -> Check:
 
 
 def check_spectra(n: int) -> Check:
-    details = []
-    s2_eigs = eigen_oracle(build_total_spin_squared(n)).eigenvalues
-    expected = {two_S / 2 * (two_S / 2 + 1) for two_S in range(n % 2, n + 1, 2)}
-    ok = all(any(abs(e - x) < 1e-9 for x in expected) for e in s2_eigs)
-    details.append(f"S^2 eigenvalues {tuple(round(e, 6) for e in s2_eigs)}")
-    for j in range(2, n + 1):
-        eigs = eigen_oracle(build_coupling_sum(j, n)).eigenvalues
-        for e in eigs:
-            if abs(e - round(e)) > 1e-9 or not -1 <= round(e) <= j - 1:
-                ok = False
-                details.append(f"coupling sum j={j} stray eigenvalue {e}")
+    """Oracle eigenvalues of S^2 and each coupling sum equal the run path's `spectrum`."""
+    s2 = build_total_spin_squared(n)
+    details = [f"S^2 eigenvalues {tuple(round(e, 6) for e in eigen_oracle(s2).eigenvalues)}"]
+    ok = True
+    for op in [s2] + [build_coupling_sum(j, n) for j in range(2, n + 1)]:
+        eigs, expected = eigen_oracle(op).eigenvalues, spectrum(op)
+        if len(eigs) != len(expected) or max(abs(e - x) for e, x in zip(eigs, expected)) > 1e-9:
+            ok = False
+            details.append(f"eigenvalues {eigs} of pairs {op.pairs} differ from {expected}")
     return Check(f"operator-spectra-n{n}", ok, "; ".join(details))
 
 

@@ -4,13 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tqsf.errors import DecodeError
-from tqsf.filtering import PathLabel, RegisterLayout, decode_outcome
+from tqsf.errors import CapacityError, DecodeError
+from tqsf.evolution import (
+    coupling_phase_unitary,
+    prefix_spin_phase_unitary,
+    total_spin_phase_unitary,
+    z_phase_unitary,
+)
+from tqsf.filtering import PathLabel, RegisterLayout, decode_outcome, layout_for
 from tqsf.spin import (
     SpinLabel,
     decode_total_spin,
+    encode_coupling,
     encode_total_spin,
     min_ancillas,
+    spectrum,
     spin_register_size,
 )
 from tqsf.statevector import format_bits
@@ -34,9 +42,8 @@ def encode(seq, two_M, method):
         prev, cur = seq[j - 2], seq[j - 1]
         if method == "b-s2j":
             raw[f"path{j}"] = format_bits(encode_total_spin(cur, j), spin_register_size(j))
-        else:  # coupling sum h, read as h + 1
-            h = (prev + j - 1) // 2 if cur > prev else (j - 3 - prev) // 2
-            raw[f"path{j}"] = format_bits(h + 1, min_ancillas("hj", j))
+        else:
+            raw[f"path{j}"] = format_bits(encode_coupling(cur, prev, j), min_ancillas("hj", j))
     return raw
 
 
@@ -54,6 +61,45 @@ def test_every_path_round_trips_through_its_registers(method):
         expected = PathLabel(seq, tuple(int(b > a) for a, b in zip(seq, seq[1:])))
         raw = encode(seq, two_M, method)
         assert decode_outcome(raw, layout_of(len(seq), raw), method) == expected
+
+
+def _spins(num_spins):
+    return range(num_spins % 2, num_spins + 1, 2)
+
+
+def _register_readouts(n, method):
+    """(register size, spec, encoding image) of every register of the method's layout."""
+    for name, qubits in layout_for(n, method).registers:
+        r = len(qubits)
+        if name == "z":
+            yield r, z_phase_unitary(n, r), set(range(n + 1))
+        elif name == "S":
+            yield r, total_spin_phase_unitary(n, r), {encode_total_spin(s, n) for s in _spins(n)}
+        elif method == "b-s2j":
+            j = int(name[len("path"):])
+            yield r, prefix_spin_phase_unitary(j, n, r), {encode_total_spin(s, j)
+                                                           for s in _spins(j)}
+        else:
+            j = int(name[len("path"):])
+            yield r, coupling_phase_unitary(j, n, r), {encode_coupling(p + d, p, j)
+                                                        for p in _spins(j - 1)
+                                                        for d in (-1, 1) if p + d >= 0}
+
+
+@pytest.mark.parametrize("method", ["a", "b-s2j", "b-hj"])
+def test_each_register_reads_the_encoding_its_decoder_expects(method):
+    """{2^r * alpha * lambda} over the operator's spectrum is the image of the
+    register's encoding, at every n <= 10 the 20-qubit cap admits."""
+    sizes = []
+    for n in range(1 if method == "a" else 2, 11):
+        try:
+            readouts = list(_register_readouts(n, method))
+        except CapacityError:
+            continue
+        sizes.append(n)
+        for r, spec, image in readouts:
+            assert {(1 << r) * spec.alpha * lam for lam in spectrum(spec.operator)} == image
+    assert sizes == list(range(1, 11) if method == "a" else range(2, 6))
 
 
 def test_every_spin_label_round_trips_through_method_a_registers():
@@ -119,3 +165,4 @@ def test_any_readout_decodes_or_raises_decode_error(case):
     except DecodeError:
         return
     assert min(label.two_S_sequence) >= 0
+    assert encode(label.two_S_sequence, n - 2 * int(raw["z"], 2), method) == raw

@@ -869,6 +869,25 @@ def test_sequential_methods_run_no_dense_operator(monkeypatch):
         assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_trotter_mode_runs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trotter mode diagonalised or densified an operator")
+
+    for module in (spin, evolution):
+        monkeypatch.setattr(module, "eigen_blocks", refuse)
+    monkeypatch.setattr(evolution, "_exact_blocks", refuse)
+    monkeypatch.setattr(spin, "eigen_oracle", refuse)
+    monkeypatch.setattr(TranspositionSum, "to_dense", refuse)
+    monkeypatch.setattr(TranspositionSum, "dense_on_support", refuse)
+    evolution._trotter_blocks.cache_clear()  # cached blocks cannot hide a call
+    for method in ("a", "b-s2j", "b-hj"):
+        for n in range(2, 6):
+            layout_for(n, method)  # every one fits the 20-qubit cap
+            state = random_state(n, np.random.default_rng(120 + n))
+            outcomes = run_filter(state, n, method, mode="trotter", trotter_steps=4)[2]
+            assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_sampler_refuses_a_tree_above_the_byte_limit_before_copying(monkeypatch):
     state = random_state(6, np.random.default_rng(96))
     # 6 qubits: at most 1 + 2 + 3 + 6 + 10 + 20 = 42 nodes of 2^6 amplitudes

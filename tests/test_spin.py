@@ -187,6 +187,15 @@ def test_spectrum_matches_analytic_spectra(n):
         _assert_spectrum(coupling_phase_unitary(j, n, min_ancillas("hj", j)).operator, shifted)
 
 
+def test_spectrum_is_exact_beyond_the_dense_cap():
+    assert spectrum(build_total_spin_squared(20)) == tuple(s * (s + 1) for s in range(11))
+
+
+def test_spectrum_rejects_a_pair_set_of_no_spin_identity():
+    with pytest.raises(ValueError, match="nested S\\^2"):
+        spectrum(TranspositionSum(3, pairs=((0, 1), (1, 2))))
+
+
 def test_step_operator_j2():
     op = build_step_operator(2, 2, 1)
     assert op.identity_coefficient == pytest.approx(1.0)
