@@ -5,9 +5,10 @@ Usage:  python scripts/same_output.py OLD_ROOT NEW_ROOT
 Each root is a checkout of this repository. Every configuration below runs
 as `python -m tqsf.cli` in a subprocess with PYTHONPATH=<root>/src, inside
 a fresh output directory per tree, so the two runs differ only in the
-source they import. The exit code, stdout and every written file are
-compared byte for byte, except the value of `metadata.timestamp` in the
-run JSON. Every differing configuration is printed; when its run JSON
+source they import. The exit code, stdout, stderr and every written file
+are compared byte for byte, except the value of `metadata.timestamp` in
+the run JSON and each root's own path in stderr, which a placeholder
+replaces. Every differing configuration is printed; when its run JSON
 differs, a second line gives the largest |probability difference| over its
 rows, whether labels and `raw_bits` agree row for row, and how many
 sampled counts moved; when a `verify` report differs, it gives whether the
@@ -60,7 +61,17 @@ def _configs(state_file):
         yield name, ["run", "--n", str(n), "--state", state, "--method", method,
                      "--shots", str(shots), *extra,
                      "--out", f"{name}.json", "--csv", f"{name}.csv"]
+    # the SVG chart, and the two refusals of method c: the path tree exits 3,
+    # a missing --shots exits 2, and each message goes to stderr
+    name = "run-b-hj-n4-hadamard-x13-2000-plot"
+    yield name, ["run", "--n", "4", "--state", "hadamard-x13", "--method", "b-hj",
+                 "--shots", "2000", "--out", f"{name}.json", "--plot", f"{name}.svg"]
+    yield "run-c-n14-10", ["run", "--n", "14", "--method", "c", "--shots", "10",
+                           "--out", "run-c-n14-10.json"]
+    yield "run-c-n3", ["run", "--n", "3", "--method", "c", "--out", "run-c-n3.json"]
     yield "verify-n6", ["verify", "--n-max", "6"]
+    yield "verify-n3-report", ["verify", "--n-max", "3", "--states-per-n", "2",
+                               "--out", "report.json"]
     # random states other than the default ones through the oracle checks
     yield "verify-n6-seed99", ["verify", "--n-max", "6", "--states-per-n", "3", "--seed", "99"]
     yield "rng-demo-n12", ["rng-demo", "--n", "12", "--shots", "5000", "--out", "rng.csv"]
@@ -80,12 +91,14 @@ def _write_state(path: Path, n: int) -> None:
 
 
 def _run(root: Path, argv: list[str], workdir: Path) -> dict[str, bytes]:
-    """Exit code, stdout and written files of one CLI call."""
+    """Exit code, stdout, stderr and written files of one CLI call."""
     workdir.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run([sys.executable, "-m", "tqsf.cli", *argv], cwd=workdir,
                           env=env, capture_output=True)
-    out = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout}
+    # a warning names its source file, which lies under the root
+    stderr = proc.stderr.replace(os.fsencode(root), b"<root>")
+    out = {"exit": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": stderr}
     for path in sorted(workdir.iterdir()):
         out[path.name] = TIMESTAMP.sub(b'"timestamp": ""', path.read_bytes())
     return out

@@ -4,20 +4,15 @@ from .errors import AliasingError, CapacityError, DecodeError
 from .evolution import (
     PhaseUnitary,
     apply_controlled_phase_unitary,
-    apply_exact,
     apply_swap_rotation,
-    apply_trotter,
 )
 from .filtering import (
     FilterOutcome,
     PathLabel,
     RegisterLayout,
-    ShotRecord,
-    decode_outcome,
     layout_for,
     method_a,
     method_b,
-    method_c,
     method_c_counts,
     method_c_deferred,
     qft,
@@ -42,11 +37,9 @@ from .spin import (
 )
 from .statevector import (
     Gate,
-    MeasurementResult,
     StateVector,
     apply_controlled,
     apply_gate,
-    measure,
     new_basis_state,
     outcome_distribution,
     sample_counts,

@@ -164,16 +164,6 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int,
     return state
 
 
-def apply_exact(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:
-    """Apply U^power using the operator's spectral decomposition; in place."""
-    return _evolve(replace(spec, mode="exact"), state, power)
-
-
-def apply_trotter(spec: PhaseUnitary, state: StateVector, power: int = 1) -> StateVector:
-    """First-order Trotter application of U^power; in place."""
-    return _evolve(replace(spec, mode="trotter"), state, power)
-
-
 def apply_controlled_phase_unitary(
     spec: PhaseUnitary, state: StateVector, control: int, power: int = 1
 ) -> StateVector:

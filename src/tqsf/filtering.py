@@ -160,18 +160,6 @@ class FilterOutcome:
     two_M: int | None = None
 
 
-@dataclass
-class ShotRecord:
-    """Result of one sequential-filter shot."""
-
-    path: PathLabel
-    post_state: StateVector = field(repr=False)
-
-    @property
-    def two_S_final(self) -> int:
-        return self.path.two_S_final
-
-
 def layout_for(n: int, method: str) -> RegisterLayout:
     """Register layout for the given method, sized by min_ancillas."""
     if n < 1:
@@ -332,11 +320,6 @@ def _decode(raw_bits: dict[str, str], layout: RegisterLayout, method: str):
     return path, two_M
 
 
-def decode_outcome(raw_bits: dict[str, str], layout: RegisterLayout, method: str):
-    """Decode measured register bitstrings into a spin or path label."""
-    return _decode(raw_bits, layout, method)[0]
-
-
 def _enumerate_register_outcomes(joint: StateVector, layout: RegisterLayout, probs: np.ndarray,
                                  method: str, mode: str):
     """Yield one decoded FilterOutcome per readout of nonzero weight in `probs`,
@@ -464,10 +447,9 @@ class SequentialPathSampler:
     expanded nodes (increase probability, child ids) and simulates a node's
     test, through `_branch`, only the first time a shot reaches it.  The
     walk takes one uniform per non-forced step from a source it is given:
-    `sample` draws them one by one from the caller's generator,
-    `method_c_counts` from one seeded stream read in chunks.  Both sources
-    yield the same doubles, so counts do not depend on the chunking, and
-    the statistics equal those of independent simulations.
+    `method_c_counts` reads one seeded stream in chunks, which yields the
+    same doubles as drawing them one by one, so counts do not depend on
+    the chunking, and the statistics equal those of independent simulations.
     """
 
     def __init__(self, state: StateVector, n: int):
@@ -534,10 +516,6 @@ class SequentialPathSampler:
             i = hi if p_increase is None or draw() < p_increase else lo
         return i
 
-    def sample(self, rng: np.random.Generator) -> ShotRecord:
-        prefix, (system, _) = self._nodes[self._walk(rng.random)]
-        return ShotRecord(path=PathLabel.from_bits(prefix), post_state=system)
-
     def _leaf_weights(self) -> dict[int, float]:
         """Exact probability of every leaf of nonzero weight, by node id.
 
@@ -562,11 +540,6 @@ class SequentialPathSampler:
         """Exact probability of every path of nonzero weight."""
         return {PathLabel.from_bits(self._nodes[i][0]): prob
                 for i, prob in self._leaf_weights().items()}
-
-
-def method_c(state: StateVector, n: int, rng) -> ShotRecord:
-    """One shot of the sequential filter; `rng` is a seed or Generator."""
-    return SequentialPathSampler(state, n).sample(np.random.default_rng(rng))
 
 
 # Generator.random(k) yields the same doubles as k calls of random(), so the

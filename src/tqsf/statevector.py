@@ -25,7 +25,7 @@ a view of the amplitudes taken before a call sees the call's update.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,9 +70,6 @@ class StateVector:
     def copy(self) -> "StateVector":
         return StateVector(self.amplitudes, copy=True)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
@@ -109,18 +106,6 @@ class Gate:
         _check_unitary(matrix)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "targets", targets)
-
-    def dagger(self) -> "Gate":
-        return Gate(self.matrix.conj().T, self.targets)
-
-
-@dataclass
-class MeasurementResult:
-    """Outcome of a projective measurement on a subset of qubits."""
-
-    bits: dict[int, int]
-    probability: float
-    post_state: StateVector = field(repr=False)
 
 
 def format_bits(value: int, width: int) -> str:
@@ -269,32 +254,6 @@ def _marginal(state: StateVector, qubits) -> np.ndarray:
     if other:
         p = p.sum(axis=other, keepdims=True)  # summed qubits keep length-1 axes
     return np.transpose(p, keep + list(other)).reshape(-1)
-
-
-def _collapse(state: StateVector, qubits, outcome: int, probability: float) -> StateVector:
-    """Project onto `qubits` reading `outcome` and renormalize, in place."""
-    t = _tensor(state.amplitudes, state.num_qubits)
-    view = _fix(t, {qb: (outcome >> i) & 1 for i, qb in enumerate(qubits)})
-    kept = view.copy()
-    t[...] = 0.0
-    view[...] = kept / np.sqrt(probability)
-    return state
-
-
-def measure(state: StateVector, qubits, rng: np.random.Generator) -> MeasurementResult:
-    """Born-rule measurement of `qubits`; collapses `state` in place."""
-    qubits = _readout_qubits(state, qubits)
-    p = _marginal(state, qubits)
-    total = p.sum()
-    if total < 1e-12:
-        raise RuntimeError("state norm degenerated; cannot measure")
-    candidates = np.flatnonzero(p > 0.0)
-    weights = p[candidates] / p[candidates].sum()
-    outcome = int(candidates[rng.choice(len(candidates), p=weights)])
-    prob = float(p[outcome])
-    _collapse(state, qubits, outcome, prob)
-    bits = {qb: (outcome >> i) & 1 for i, qb in enumerate(qubits)}
-    return MeasurementResult(bits=bits, probability=prob, post_state=state)
 
 
 def outcome_distribution(state: StateVector, qubits) -> dict[str, float]:

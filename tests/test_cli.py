@@ -396,18 +396,32 @@ def test_verify_report_file(tmp_path, n_max):
 
 
 def test_console_script_end_to_end(tmp_path):
+    import os
     import shutil
     import subprocess
+    import sys
+    from pathlib import Path
 
+    root = Path(__file__).resolve().parents[1]
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+        assert project["scripts"]["tqsf"] == "tqsf.cli:main"
     exe = shutil.which("tqsf")
     if exe is None:
-        pytest.skip("console script not installed")
+        # not installed: run the entry point's module from the source tree
+        command = [sys.executable, "-m", "tqsf.cli"]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    else:
+        command, env = [exe], None
     out = tmp_path / "r.json"
     proc = subprocess.run(
-        [exe, "run", "--n", "2", "--state", "hadamard", "--method", "a",
+        [*command, "run", "--n", "2", "--state", "hadamard", "--method", "a",
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     doc = read_json(out)

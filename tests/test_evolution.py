@@ -14,9 +14,7 @@ from tqsf.evolution import (
     _pair_rotate,
     _trotter_blocks,
     apply_controlled_phase_unitary,
-    apply_exact,
     apply_swap_rotation,
-    apply_trotter,
     coupling_phase_unitary,
     prefix_spin_phase_unitary,
     total_spin_phase_unitary,
@@ -49,7 +47,7 @@ def test_z_unitary_phases_basis_states():
     n, n_z = 4, 3
     spec = z_phase_unitary(n, n_z)
     for bits, weight in [("0000", 0), ("0101", 2), ("1111", 4)]:
-        s = apply_exact(spec, new_basis_state(n, bits))
+        s = _evolve(spec, new_basis_state(n, bits), 1)
         idx = int(bits, 2)
         expected = np.exp(2j * np.pi * weight / 2**n_z)
         assert s.amplitudes[idx] == pytest.approx(expected, abs=1e-12)
@@ -61,7 +59,7 @@ def test_z_unitary_full_period_is_identity():
     rng = np.random.default_rng(0)
     s = random_state(n, rng)
     before = s.amplitudes.copy()
-    apply_exact(spec, s, power=1 << n_z)
+    _evolve(spec, s, 1 << n_z)
     assert np.max(np.abs(s.amplitudes - before)) < 1e-12
 
 
@@ -71,7 +69,7 @@ def test_spin_unitary_fixes_singlet_product():
     state = StateVector(np.kron(singlet, singlet))
     spec = total_spin_phase_unitary(4, spin_register_size(4))
     before = state.amplitudes.copy()
-    apply_exact(spec, state)
+    _evolve(spec, state, 1)
     assert np.max(np.abs(state.amplitudes - before)) < 1e-12
 
 
@@ -87,7 +85,7 @@ def test_exact_eigenphase_correctness():
                 continue
             state = StateVector(vec / norm)
             expected = np.exp(2j * np.pi * spec.alpha * lam) * state.amplitudes
-            apply_exact(spec, state)
+            _evolve(spec, state, 1)
             assert np.max(np.abs(state.amplitudes - expected)) < 1e-10
 
 
@@ -97,9 +95,9 @@ def test_exact_inverse_by_negated_alpha():
     before = s.amplitudes.copy()
     spec = total_spin_phase_unitary(4, 2)
     inverse = PhaseUnitary(spec.operator, -spec.alpha)
-    apply_exact(spec, s)
-    assert abs(s.norm() - 1.0) < 1e-12
-    apply_exact(inverse, s)
+    _evolve(spec, s, 1)
+    assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
+    _evolve(inverse, s, 1)
     assert np.max(np.abs(s.amplitudes - before)) < 1e-12
 
 
@@ -152,8 +150,8 @@ def test_trotter_exact_for_single_pair():
         spec_t = total_spin_phase_unitary(2, 1, mode="trotter", trotter_steps=steps)
         rng = np.random.default_rng(steps)
         s = random_state(2, rng)
-        a = apply_exact(spec_e, s.copy())
-        b = apply_trotter(spec_t, s.copy())
+        a = _evolve(spec_e, s.copy(), 1)
+        b = _evolve(spec_t, s.copy(), 1)
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
 
@@ -161,11 +159,11 @@ def test_trotter_error_decreases_and_halves():
     rng = np.random.default_rng(5)
     state = random_state(4, rng)
     spec_e = total_spin_phase_unitary(4, 2)
-    exact = apply_exact(spec_e, state.copy())
+    exact = _evolve(spec_e, state.copy(), 1)
     errors = []
     for steps in (8, 16, 32, 64, 128):
         spec_t = total_spin_phase_unitary(4, 2, mode="trotter", trotter_steps=steps)
-        approx = apply_trotter(spec_t, state.copy())
+        approx = _evolve(spec_t, state.copy(), 1)
         errors.append(np.linalg.norm(approx.amplitudes - exact.amplitudes))
     assert all(b < a for a, b in zip(errors, errors[1:]))
     for a, b in zip(errors[2:], errors[3:]):
@@ -331,18 +329,18 @@ def test_controlled_rejects_out_of_range_control(kind, control):
 
 
 @pytest.mark.parametrize(
-    "apply, spec",
+    "spec",
     [
-        (apply_exact, total_spin_phase_unitary(4, 2)),
-        (apply_trotter, total_spin_phase_unitary(4, 2, mode="trotter", trotter_steps=2)),
-        (apply_exact, z_phase_unitary(4, 3)),
+        total_spin_phase_unitary(4, 2),
+        total_spin_phase_unitary(4, 2, mode="trotter", trotter_steps=2),
+        z_phase_unitary(4, 3),
     ],
     ids=["exact", "trotter", "hamming"],
 )
-def test_rejects_operator_wider_than_state(apply, spec):
+def test_rejects_operator_wider_than_state(spec):
     state = random_state(3, np.random.default_rng(11))
     with pytest.raises(ValueError):
-        apply(spec, state)
+        _evolve(spec, state, 1)
 
 
 @pytest.mark.parametrize("i, j", [(0, 3), (-1, 1), (3, 0)])
@@ -416,7 +414,7 @@ def test_hamming_phase_matches_dense_diagonal_on_control_block(case, seed):
     expected = _on_control_block(state.amplitudes, control, dense @ state.amplitudes)
     spec = PhaseUnitary(HammingWeightOperator(n), alpha)
     if control is None:
-        _assert_updated_in_place(lambda s: apply_exact(spec, s), state, expected)
+        _assert_updated_in_place(lambda s: _evolve(spec, s, 1), state, expected)
     else:
         _assert_updated_in_place(
             lambda s: apply_controlled_phase_unitary(spec, s, control), state, expected
@@ -597,7 +595,7 @@ def test_fused_trotter_power_matches_per_pair_sweep(case, seed):
 
     def apply(s):
         if control is None:
-            return apply_trotter(spec, s, power)
+            return _evolve(spec, s, power)
         return apply_controlled_phase_unitary(spec, s, control, power)
 
     _assert_updated_in_place(apply, state, expected)

@@ -22,16 +22,15 @@ from tqsf.filtering import (
     RegisterLayout,
     SequentialPathSampler,
     _check_register,
+    _decode,
     _embed,
     _estimate,
     _UNIFORM_CHUNK,
-    decode_outcome,
     layout_for,
     method_a,
     method_a_final_state,
     method_b,
     method_b_final_state,
-    method_c,
     method_c_counts,
     method_c_deferred,
     method_c_deferred_final_state,
@@ -489,7 +488,7 @@ def test_hj_decoder_rejects_decrease_from_zero_spin():
     # trotter leakage: path2 reads a decrease to 2S=0, path3 a further decrease
     raw = {"z": "010", "path2": "00", "path3": "01", "path4": "010"}
     with pytest.raises(DecodeError):
-        decode_outcome(raw, layout_for(4, "b-hj"), "b-hj")
+        _decode(raw, layout_for(4, "b-hj"), "b-hj")[0]
 
 
 def test_method_b_undersized_layout_raises():
@@ -590,10 +589,8 @@ def test_estimate_rejects_weight_above_the_populated_prefix():
 
 
 def test_method_c_symmetric_two_qubits():
-    record = method_c(new_basis_state(2, "00"), 2, rng=0)
-    assert record.path.bits_string() == "1"
-    assert record.two_S_final == 2
-    assert np.allclose(record.post_state.amplitudes, new_basis_state(2, "00").amplitudes)
+    counts = method_c_counts(new_basis_state(2, "00"), 2, 100, seed=0)
+    assert counts == {PathLabel.from_bits((1,)): 100}
 
 
 def test_method_c_seed_reproducible():
@@ -629,23 +626,6 @@ def test_method_c_path_frequencies_match_method_b():
         sigma = np.sqrt(shots * p * (1 - p))
         matching = sum(c for path, c in counts.items() if path.bits_string() == bits)
         assert abs(matching - shots * p) < 3 * sigma
-
-
-def test_method_c_post_state_is_path_eigenstate():
-    from tqsf.spin import build_prefix_spin_squared
-
-    n = 4
-    state = hadamard_x13_state(n)
-    sampler = SequentialPathSampler(state, n)
-    rng = np.random.default_rng(7)
-    for _ in range(5):
-        record = sampler.sample(rng)
-        psi = record.post_state.amplitudes
-        for j in range(2, n + 1):
-            two_S = record.path.two_S_sequence[j - 1]
-            val = two_S / 2 * (two_S / 2 + 1)
-            dense = build_prefix_spin_squared(j, n).to_dense()
-            assert np.linalg.norm(dense @ psi - val * psi) < 1e-8
 
 
 def _reference_shot(sampler, rng):
@@ -744,10 +724,10 @@ def test_sample_matches_per_shot_reference():
     sampler, reference = SequentialPathSampler(state, 5), SequentialPathSampler(state, 5)
     rng, ref_rng = np.random.default_rng(10), np.random.default_rng(10)
     for _ in range(50):
-        record = sampler.sample(rng)
+        prefix, (system, _) = sampler._nodes[sampler._walk(rng.random)]
         path, post = _reference_shot(reference, ref_rng)
-        assert record.path == path
-        assert np.array_equal(record.post_state.amplitudes, post.amplitudes)
+        assert PathLabel.from_bits(prefix) == path
+        assert np.array_equal(system.amplitudes, post.amplitudes)
     assert rng.random() == ref_rng.random()  # both consumed the same draws
 
 
@@ -767,10 +747,10 @@ def test_sample_flips_a_drawn_branch_that_carries_no_weight():
     sampler = SequentialPathSampler(state, 6)
     p_increase, children = sampler._branch((), sampler._root)
     assert p_increase < np.nextafter(1.0, 0.0) and set(children) == {1}
-    record = sampler.sample(Scripted())
+    prefix, (system, _) = sampler._nodes[sampler._walk(Scripted().random)]
     path, post = _reference_shot(SequentialPathSampler(state, 6), Scripted())
-    assert record.path == path == PathLabel.from_bits((1,) * 5)
-    assert np.array_equal(record.post_state.amplitudes, post.amplitudes)
+    assert PathLabel.from_bits(prefix) == path == PathLabel.from_bits((1,) * 5)
+    assert np.array_equal(system.amplitudes, post.amplitudes)
 
 
 def test_method_c_counts_builds_one_label_per_path(monkeypatch):
@@ -864,7 +844,6 @@ def test_sequential_methods_run_no_dense_operator(monkeypatch):
     for n in (2, 5, 8):
         state = random_state(n, np.random.default_rng(95 + n))
         assert sum(method_c_counts(state, n, 300, seed=n).values()) == 300
-        method_c(state, n, rng=n)
         outcomes = run_filter(state, n, "c-deferred")[2]
         assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
 
@@ -912,10 +891,9 @@ def test_path_probabilities_match_method_b_marginal(n):
 
 
 @pytest.mark.parametrize("run", [
-    lambda state: method_c(state, 1, rng=0),
     lambda state: method_c_counts(state, 1, 10, seed=0),
     lambda state: method_c_deferred(state, 1),
-], ids=["method_c", "method_c_counts", "method_c_deferred"])
+], ids=["method_c_counts", "method_c_deferred"])
 def test_sequential_methods_reject_one_qubit(run):
     with pytest.raises(ValueError, match="requires n >= 2"):
         run(new_basis_state(1, "0"))
@@ -1056,20 +1034,20 @@ def test_deferred_post_states_are_path_eigenstates():
 
 def test_decode_method_a_examples():
     layout = layout_for(4, "a")
-    label = decode_outcome({"z": "010", "S": "11"}, layout, "a")
+    label = _decode({"z": "010", "S": "11"}, layout, "a")[0]
     assert (label.two_S, label.two_M) == (4, 0)
-    label = decode_outcome({"z": "001", "S": "01"}, layout, "a")
+    label = _decode({"z": "001", "S": "01"}, layout, "a")[0]
     assert (label.two_S, label.two_M) == (2, 2)
 
 
 def test_decode_method_a_rejects_invalid():
     layout = layout_for(4, "a")
     with pytest.raises(DecodeError):
-        decode_outcome({"z": "000", "S": "10"}, layout, "a")  # 2 not triangular
+        _decode({"z": "000", "S": "10"}, layout, "a")[0]  # 2 not triangular
     with pytest.raises(DecodeError):
-        decode_outcome({"z": "000", "S": "00"}, layout, "a")  # |M|=2 > S=0
+        _decode({"z": "000", "S": "00"}, layout, "a")[0]  # |M|=2 > S=0
     with pytest.raises(DecodeError):
-        decode_outcome({"z": "101", "S": "11"}, layout, "a")  # k=5 > n
+        _decode({"z": "101", "S": "11"}, layout, "a")[0]  # k=5 > n
 
 
 def test_decode_method_b_hj_path_b():
@@ -1081,7 +1059,7 @@ def test_decode_method_b_hj_path_b():
         "path3": format(-1 + 1, "02b"),
         "path4": format(2 + 1, "03b"),
     }
-    label = decode_outcome(raw, layout, "b-hj")
+    label = _decode(raw, layout, "b-hj")[0]
     assert label.bits_string() == "101"
     assert label.two_S_sequence == (1, 2, 1, 2)
 
@@ -1089,14 +1067,14 @@ def test_decode_method_b_hj_path_b():
 def test_decode_method_b_s2j_sequences():
     layout = layout_for(4, "b-s2j")
     raw = {"z": "010", "path2": "1", "path3": "11", "path4": "01"}
-    label = decode_outcome(raw, layout, "b-s2j")
+    label = _decode(raw, layout, "b-s2j")[0]
     assert label.bits_string() == "110"  # path (a): spins 1, 3/2, 1
 
 
 def test_decode_path_bits():
     layout = layout_for(4, "c-deferred")
     raw = {"step2": "1", "step3": "0", "step4": "1"}
-    label = decode_outcome(raw, layout, "c-deferred")
+    label = _decode(raw, layout, "c-deferred")[0]
     assert label.two_S_sequence == (1, 2, 1, 2)
 
 

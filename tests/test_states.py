@@ -58,7 +58,7 @@ def test_preset_unknown():
 def test_random_state_normalized():
     rng = np.random.default_rng(0)
     s = random_state(5, rng)
-    assert abs(s.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(s.amplitudes) - 1.0) < 1e-12
 
 
 def test_load_amplitudes_roundtrip(tmp_path):
