@@ -216,9 +216,8 @@ def _run_sequential(state, config: ExperimentConfig):
 
 
 def write_json(document: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w") as fh:  # one write: json.dump would write piece by piece
+        fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def write_csv(document: dict, path: str) -> None:

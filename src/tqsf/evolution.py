@@ -3,13 +3,13 @@
 Each transposition sum here (S^2, a prefix S^2, a coupling sum) keeps the
 1-count, so U is block-diagonal over the weight-k basis states of its
 support (U(1) blocks, as in Sandvik, arXiv:1101.3281); the 1-count
-operator itself is diagonal, a phase tensor. Both modes cache U per weight
-block and apply the (indices, block) pairs in one `_apply_matrix` call,
-with no 2^m x 2^m matrix (gate fusion as in Häner & Steiger, SC'17,
-arXiv:1704.01127).
-Exact mode synthesises each block from the eigenvectors of
-`spin.eigen_blocks` (`_exact_blocks`); trotter mode diagonalises nothing
-and builds one sweep of the per-pair SWAP rotations
+operator itself is diagonal, a phase tensor. Each mode applies (indices,
+block) pairs in `_apply_matrix` calls, with no 2^m x 2^m matrix (gate
+fusion as in Häner & Steiger, SC'17, arXiv:1704.01127). Exact mode applies
+V_k diag(exp(2*pi*i * alpha * lambda)) V_k^T: a real GEMM per block into the
+cached eigenbasis (`_eigenbasis`, lambda exact), the phase tensor and a GEMM
+back; `filtering.run_qpe` rotates once for all its powers. Trotter mode
+diagonalises nothing and builds one sweep of the per-pair SWAP rotations
 
     exp(i*a*P_ij) = cos(a) I + i sin(a) P_ij
 
@@ -42,8 +42,10 @@ from .spin import (
     build_prefix_spin_squared,
     build_total_spin_squared,
     eigen_blocks,
+    spectrum,
 )
-from .statevector import StateVector, _apply_matrix, _check_qubits, _check_unitary, _fix, _tensor
+from .statevector import (StateVector, _apply_matrix, _check_qubits, _check_unitary,
+                          _distinct_qubits, _fix, _tensor)
 
 
 @dataclass(frozen=True)
@@ -63,16 +65,33 @@ class PhaseUnitary:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _exact_blocks(op: TranspositionSum, scale: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """exp(2*pi*i * scale * op) as (indices, v exp(2*pi*i * scale * w) v^T) pairs,
-    one per weight block of `spin.eigen_blocks(op)`: the block form `_apply_matrix`
-    takes. Each factor is checked unitary once, when it enters the cache."""
-    blocks = []
-    for idx, w, v in eigen_blocks(op):
-        block = (v * np.exp(2j * np.pi * scale * w)) @ v.T
-        _check_unitary(block)
-        blocks.append((idx, block))
-    return tuple(blocks)
+def _eigenbasis(op: TranspositionSum) -> tuple[tuple, np.ndarray]:
+    """(indices, V_k) per weight block of `spin.eigen_blocks(op)`, each real V_k checked
+    orthogonal once, so V diag(phases) V^T is unitary; and by support index the `spectrum`
+    value nearest each eigenvector's `eigh` eigenvalue (ValueError beyond 1e-9)."""
+    blocks, exact = eigen_blocks(op), np.array(spectrum(op))
+    eigenvalues = np.empty(1 << len(op.support))
+    for idx, w, v in blocks:
+        _check_unitary(v)
+        eigenvalues[idx] = exact[np.abs(w[:, None] - exact).argmin(axis=1)]
+        if np.max(np.abs(w - eigenvalues[idx])) > 1e-9:
+            raise ValueError(f"eigh eigenvalues {w} stray from the exact spectrum {exact}")
+    return tuple((idx, v) for idx, _, v in blocks), eigenvalues
+
+
+def _rotate(state: StateVector, op, fixed: dict, back: bool = False) -> np.ndarray:
+    """Rotate op's support into its eigenbasis (V_k^T), or out (V_k) with `back`, where each qubit
+    of `fixed` reads its bit; in place. Returns the eigenvalues as a broadcastable qubit tensor."""
+    support = op.support
+    if isinstance(op, HammingWeightOperator):  # diagonal already
+        eigenvalues = op.diagonal()
+    else:
+        rotation, eigenvalues = _eigenbasis(op)
+        blocks = rotation if back else tuple((idx, v.T) for idx, v in rotation)
+        _apply_matrix(state.amplitudes, state.num_qubits, blocks, support,
+                      tuple(fixed), tuple(fixed.values()))
+    return eigenvalues.reshape([2 if q in support else 1
+                                for q in range(max(support, default=-1), -1, -1)])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -104,13 +123,6 @@ def _trotter_blocks(op: TranspositionSum, scale: float,
     return tuple(blocks)
 
 
-def _hamming_phases(op: HammingWeightOperator, phase_scale: float) -> np.ndarray:
-    """Phases on the system qubits as a (2,)*n tensor; the weight depends only
-    on the low (system) bits, so it broadcasts over any qubit tensor's trailing axes."""
-    phases = np.exp(2j * np.pi * phase_scale * op.diagonal())
-    return phases.reshape((2,) * op.num_qubits)
-
-
 def _pair_rotate(t: np.ndarray, alpha: float, i: int, j: int) -> None:
     """t <- cos(alpha) t + i sin(alpha) SWAP_ij t on the qubit tensor `t`; in place.
 
@@ -139,28 +151,22 @@ def _evolve(spec: PhaseUnitary, state: StateVector, power: int,
             control: int | None = None) -> StateVector:
     """U^power on the branch where `control` reads 1 (everywhere without one); in place.
 
-    Exact mode (`spec.mode`) fetches the cached spectral factors of
-    `_exact_blocks`, trotter mode the fused powers of `_trotter_blocks`; both
-    go through one `_apply_matrix` call on the control slice.
+    Exact mode (`spec.mode`), and the diagonal 1-count operator in either
+    mode, rotate in, phase and rotate out; trotter mode applies the fused
+    powers of `_trotter_blocks`.
     """
     op = spec.operator
     scale = spec.alpha * power
-    qubits = op.support
     controls = () if control is None else (control,)
-    if control in qubits:
-        raise ValueError("the control qubit must be off the operator's qubits")
-    _check_qubits(state, qubits + controls)
-    view = _fix(_tensor(state.amplitudes, state.num_qubits), dict.fromkeys(controls, 1))
-    if isinstance(op, HammingWeightOperator):
-        # diagonal in either mode: a product of single-qubit phases, nothing to split
-        view *= _hamming_phases(op, scale)
+    _distinct_qubits(state, op.support + controls)  # controls off the operator's qubits
+    if spec.mode == "trotter" and isinstance(op, TranspositionSum):
+        _apply_matrix(state.amplitudes, state.num_qubits, _trotter_blocks(
+            op, scale, spec.trotter_steps), op.support, controls, (1,) * len(controls))
         return state
-    if spec.mode == "trotter":
-        blocks = _trotter_blocks(op, scale, spec.trotter_steps)
-    else:
-        blocks = _exact_blocks(op, scale)
-    _apply_matrix(state.amplitudes, state.num_qubits, blocks, qubits, controls,
-                  (1,) * len(controls))
+    fixed = dict.fromkeys(controls, 1)
+    view = _fix(_tensor(state.amplitudes, state.num_qubits), fixed)
+    view *= np.exp(2j * np.pi * scale * _rotate(state, op, fixed))  # a view sees the rotation
+    _rotate(state, op, fixed, back=True)
     return state
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import AliasingError, CapacityError, DecodeError
 from .evolution import (
     PhaseUnitary,
+    _rotate,
     apply_controlled_phase_unitary,
     coupling_phase_unitary,
     prefix_spin_phase_unitary,
@@ -53,6 +54,7 @@ from .statevector import (
     PRUNE_TOL,
     Gate,
     StateVector,
+    _distinct_qubits,
     _fix,
     _hadamard_wall,
     _marginal,
@@ -245,13 +247,24 @@ def run_qpe(state: StateVector, register, spec: PhaseUnitary) -> StateVector:
     the operator spectrum is first verified to fit the register without
     aliasing (exact binary fractions in exact mode).  Acts on the whole of
     `state`; the methods pass a view of the populated prefix (`_estimate`).
+    Exact mode rotates into the eigenbasis once and applies each power as a phase.
     """
     register = tuple(int(q) for q in register)
     _check_register(spec, len(register))
+    op = spec.operator
+    if spec.mode == "trotter":
+        _hadamard_wall(state, register)
+        for k, control in enumerate(register):
+            apply_controlled_phase_unitary(spec, state, control, power=1 << k)
+        return qft(state, register, inverse=True)
+    _distinct_qubits(state, op.support + register)  # controls off the operator's qubits
+    eigenvalues = _rotate(state, op, dict.fromkeys(register, 0))  # the wall copies the rest
     _hadamard_wall(state, register)
+    t = _tensor(state.amplitudes, state.num_qubits)
     for k, control in enumerate(register):
-        apply_controlled_phase_unitary(spec, state, control, power=1 << k)
-    qft(state, register, inverse=True)
+        _fix(t, {control: 1})[...] *= np.exp(2j * np.pi * spec.alpha * (1 << k) * eigenvalues)
+    qft(state, register, inverse=True)  # on the register alone: it commutes with the rotation
+    _rotate(state, op, {}, back=True)
     return state
 
 

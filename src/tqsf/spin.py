@@ -33,8 +33,9 @@ ORACLE_MAX_QUBITS = 12
 CLUSTER_TOL = 1e-8
 EMPTY_COMPONENT_TOL = 1e-12
 # Entries per lru_cache in the package. Repeated perfbench requests reach at
-# most 40 distinct keys of one cache (`evolution._exact_blocks` under
-# `verify --n-max 6`), so a repeated request of those kinds never misses.
+# most 30 distinct keys of one cache (`eigen_oracle` under `verify --n-max 6`,
+# where `evolution._eigenbasis` and `eigen_blocks` hold 17 and `_sm_oracle` 5;
+# 5 each under `sectors`), so a repeated request of those kinds never misses.
 # `evolution._trotter_blocks` holds 9 keys under the `trotter` workload
 # (5 for b-s2j n=4, 4 for a n=8, at 16 steps) and none under the others;
 # methods c and c-deferred fill no cache.
@@ -305,6 +306,12 @@ def spectrum(op) -> tuple[float, ...]:
                          for S in range(m % 2, m + 1, 2) if abs(S - P) <= m - l}))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _sm_oracle(n: int) -> tuple[ProjectorSet, np.ndarray]:
+    """The S^2 projectors of n qubits and their 1-count table, built once per n."""
+    return eigen_oracle(build_total_spin_squared(n)), _weights(n)
+
+
 def project_SM(state: StateVector, label: SpinLabel) -> tuple[float, StateVector | None]:
     """Weight of `state` on the (S, M) eigenspace and the normalized projection.
 
@@ -312,8 +319,9 @@ def project_SM(state: StateVector, label: SpinLabel) -> tuple[float, StateVector
     """
     n = state.num_qubits
     label.validate_for(n)
-    p_s = eigen_oracle(build_total_spin_squared(n)).projector_for(label.S * (label.S + 1))
-    mask = build_hamming_weight(n).diagonal() == (n - label.two_M) // 2
+    projectors, weights = _sm_oracle(n)
+    p_s = projectors.projector_for(label.S * (label.S + 1))
+    mask = weights == (n - label.two_M) // 2
     projected = np.where(mask, p_s @ np.where(mask, state.amplitudes, 0), 0)
     amplitude = float(np.real(np.vdot(state.amplitudes, projected)))
     if amplitude <= EMPTY_COMPONENT_TOL:

@@ -135,7 +135,7 @@ def _check_qubits(state: StateVector, qubits) -> None:
             raise ValueError(f"qubit index {q} out of range for {state.num_qubits} qubits")
 
 
-def _readout_qubits(state: StateVector, qubits) -> list[int]:
+def _distinct_qubits(state: StateVector, qubits) -> list[int]:
     """`qubits` as a list of ints, checked to be integers, distinct and in range."""
     qubits = [operator.index(q) for q in qubits]
     if len(set(qubits)) != len(qubits):
@@ -175,7 +175,7 @@ def _apply_matrix(amps, num_qubits, matrix, targets, controls=(), control_values
     `matrix` is either a dense 2^k x 2^k array or a block-diagonal operator
     given as a tuple of (indices, block) pairs, where `block` acts on the
     rows `indices` of the target index and the listed index sets cover it
-    disjointly. Operates in place on `amps` (flat view of the state).
+    disjointly (a real block: one GEMM on the rows' float64 view). In place on `amps`.
     """
     k = len(targets)
     sub = _fix(_tensor(amps, num_qubits), dict(zip(controls, control_values)))
@@ -186,7 +186,10 @@ def _apply_matrix(amps, num_qubits, matrix, targets, controls=(), control_values
     if isinstance(matrix, tuple):
         out = moved.reshape(1 << k, -1)
         for idx, block in matrix:
-            out[idx] = block @ out[idx]  # fancy indexing reads a copy first
+            if np.isrealobj(block):  # fancy indexing reads a contiguous copy first
+                out[idx] = (block @ out[idx].view(np.float64)).view(np.complex128)
+            else:
+                out[idx] = block @ out[idx]
     else:
         out = matrix @ moved.reshape(1 << k, -1)
     sub[...] = np.moveaxis(out.reshape(moved.shape), range(k), src)
@@ -262,7 +265,7 @@ def outcome_distribution(state: StateVector, qubits) -> dict[str, float]:
     Keys are bitstrings, most-significant qubit (qubits[-1]) first; entries
     with probability <= 1e-12 are pruned.
     """
-    qubits = _readout_qubits(state, qubits)
+    qubits = _distinct_qubits(state, qubits)
     p = _marginal(state, qubits)
     width = len(qubits)
     return {
@@ -274,7 +277,7 @@ def sample_counts(state: StateVector, qubits, shots: int, seed: int) -> dict[str
     """Sample `shots` independent measurements of `qubits` (state untouched)."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    qubits = _readout_qubits(state, qubits)
+    qubits = _distinct_qubits(state, qubits)
     return _sample_marginal(_marginal(state, qubits), shots, seed)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tqsf import filtering, statevector
-from tqsf.cli import ExperimentConfig, main, rng_demo, run_experiment
+from tqsf.cli import ExperimentConfig, main, rng_demo, run_experiment, write_json
 from tqsf.filtering import (
     PathLabel,
     method_a_final_state,
@@ -15,6 +15,7 @@ from tqsf.filtering import (
 )
 from tqsf.states import hadamard_x13_state
 from tqsf.statevector import sample_counts
+from tqsf.verification import run_verification
 
 
 def read_json(path):
@@ -26,6 +27,21 @@ def strip_timestamp(doc):
     doc = json.loads(json.dumps(doc))
     doc["metadata"].pop("timestamp")
     return doc
+
+
+@pytest.mark.parametrize("kind", ["run", "verify"])
+def test_write_json_matches_json_dump(tmp_path, kind):
+    if kind == "run":
+        document = run_experiment(ExperimentConfig(n=4, initial_state="hadamard-x13",
+                                                   method="b-hj", shots=2000))
+    else:
+        document = run_verification(3, states_per_n=2)
+    out = tmp_path / "doc.json"
+    write_json(document, str(out))
+    with open(tmp_path / "ref.json", "w") as fh:  # the streaming writer it replaced
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    assert out.read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_run_method_a_exact(tmp_path):

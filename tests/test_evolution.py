@@ -9,8 +9,8 @@ from scipy.linalg import expm
 from tqsf import evolution, filtering, spin
 from tqsf.evolution import (
     PhaseUnitary,
+    _eigenbasis,
     _evolve,
-    _exact_blocks,
     _pair_rotate,
     _trotter_blocks,
     apply_controlled_phase_unitary,
@@ -451,6 +451,15 @@ def _assembled(blocks, m):
     return out
 
 
+def _exact_dense(op, scale):
+    """exp(2*pi*i * scale * op) on the support as a dense matrix, assembled from the
+    blocks V diag(exp(2*pi*i * scale * lambda)) V^T of `_eigenbasis`, and its rotation."""
+    rotation, eigenvalues = _eigenbasis(op)
+    lam = eigenvalues.reshape(-1)  # by support index
+    blocks = [(idx, (v * np.exp(2j * np.pi * scale * lam[idx])) @ v.T) for idx, v in rotation]
+    return _assembled(blocks, len(op.support)), rotation
+
+
 @pytest.mark.parametrize("m", range(2, 9))
 def test_block_synthesis_matches_dense_oracle(m):
     for spec in _run_path_specs(m):
@@ -462,7 +471,7 @@ def test_block_synthesis_matches_dense_oracle(m):
         assert op.support == tuple(range(m))
         for power in (1, 2, 4, 8):
             scale = spec.alpha * power
-            matrix = _assembled(_exact_blocks(op, scale), m)
+            matrix = _exact_dense(op, scale)[0]
             assert np.max(np.abs(matrix.conj().T @ matrix - np.eye(1 << m))) < 1e-12
             expected = sum(np.exp(2j * np.pi * scale * lam) * p
                            for lam, p in zip(proj.eigenvalues, proj.projectors))
@@ -471,12 +480,33 @@ def test_block_synthesis_matches_dense_oracle(m):
             assert np.max(np.abs(embedded - expected)) < 1e-12
 
 
-def test_exact_blocks_reject_a_non_unitary_factor(monkeypatch):
+@pytest.mark.parametrize("m", range(2, 11))
+def test_eigenbasis_eigenvalues_are_exact_spectrum_values(m):
+    for spec in _run_path_specs(m):
+        op = spec.operator
+        rotation, eigenvalues = _eigenbasis(op)
+        assert set(eigenvalues.reshape(-1).tolist()) <= set(spectrum(op))
+        # each exact value belongs to its own eigenvector: op V = V diag(lambda)
+        dense = op.dense_on_support()[0].real
+        for idx, v in rotation:
+            residual = dense[np.ix_(idx, idx)] @ v - v * eigenvalues.reshape(-1)[idx]
+            assert np.max(np.abs(residual)) < 1e-12
+
+
+def test_eigenbasis_rejects_a_non_orthogonal_basis(monkeypatch):
     op = build_total_spin_squared(3)
-    stretched = tuple((idx, 2 * w, 1.5 * v) for idx, w, v in spin.eigen_blocks(op))
+    stretched = tuple((idx, w, 1.5 * v) for idx, w, v in spin.eigen_blocks(op))
     monkeypatch.setattr(evolution, "eigen_blocks", lambda _: stretched)
     with pytest.raises(ValueError, match="not unitary"):
-        _exact_blocks(op, 0.123456789)  # a scale no other test caches
+        _eigenbasis.__wrapped__(op)  # past the cache, which may hold op's basis
+
+
+def test_eigenbasis_rejects_eigenvalues_off_the_exact_spectrum(monkeypatch):
+    op = build_total_spin_squared(4)
+    shifted = tuple((idx, w + 1e-6, v) for idx, w, v in spin.eigen_blocks(op))
+    monkeypatch.setattr(evolution, "eigen_blocks", lambda _: shifted)
+    with pytest.raises(ValueError, match="exact spectrum"):
+        _eigenbasis.__wrapped__(op)
 
 
 @st.composite
@@ -513,13 +543,12 @@ def test_exact_blocks_match_assembled_dense_under_controls(case, seed):
     if isinstance(op, HammingWeightOperator):  # diagonal: applied as a phase tensor
         blocks, dense = (), np.diag(np.exp(2j * np.pi * scale * op.diagonal()))
     else:
-        blocks = _exact_blocks(op, scale)
-        dense = _assembled(blocks, m)
+        dense, blocks = _exact_dense(op, scale)
     gate = Gate(dense, op.support)
     expected = apply_controlled(state.copy(), controls, (1,) * len(controls), gate).amplitudes
     _assert_updated_in_place(lambda s: _evolve(spec, s, power, control),
                              state, expected)
-    # the blocks cover the support index once; none is the dense 2^m x 2^m matrix
+    # the rotation's blocks cover the support index once; none is 2^m x 2^m
     if blocks:
         assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in blocks])),
                               np.arange(1 << m))
@@ -541,7 +570,7 @@ def test_every_lru_cache_is_bounded():
             for name, value in vars(owner).items():
                 if hasattr(value, "cache_parameters"):
                     caches[name] = value.cache_parameters()["maxsize"]
-    assert {"_exact_blocks", "eigen_blocks", "eigen_oracle"} <= set(caches)
+    assert {"_eigenbasis", "eigen_blocks", "eigen_oracle"} <= set(caches)
     assert all(maxsize is not None for maxsize in caches.values()), caches
 
 

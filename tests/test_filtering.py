@@ -11,6 +11,7 @@ from tqsf import filtering
 from tqsf import evolution, spin, statevector
 from tqsf.evolution import (
     PhaseUnitary,
+    _evolve,
     apply_controlled_phase_unitary,
     coupling_phase_unitary,
     prefix_spin_phase_unitary,
@@ -53,6 +54,7 @@ from tqsf.statevector import (
     Gate,
     StateVector,
     _fix,
+    _hadamard_wall,
     _tensor,
     apply_controlled,
     apply_gate,
@@ -574,6 +576,77 @@ def test_each_block_works_on_its_populated_prefix(monkeypatch):
     assert all(len(qubits) > 1 for qubits in blocks)  # each block reached _apply_matrix
 
 
+def _per_power_qpe(state, register, spec):
+    """Phase estimation with each controlled power applied whole: the circuit
+    exact `run_qpe` must equal with its one rotation in and out."""
+    _hadamard_wall(state, register)
+    for k, control in enumerate(register):
+        _evolve(spec, state, 1 << k, control)
+    return qft(state, register, inverse=True)
+
+
+def test_exact_qpe_hoists_the_rotation(monkeypatch):
+    blocks = []  # (method, register size) of every block checked
+
+    def checked_qpe(state, register, spec):
+        expected = _per_power_qpe(state.copy(), register, spec).amplitudes
+        run_qpe(state, register, spec)
+        assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+        blocks.append((method, len(register)))
+        return state
+
+    monkeypatch.setattr(filtering, "run_qpe", checked_qpe)
+    for n in range(2, 7):
+        state = random_state(n, np.random.default_rng(140 + n))
+        # registers: z and S^2 for a, z and every prefix S^2 or coupling sum for b-*;
+        # b-* at n = 6 exceeds the 20-qubit cap
+        for method in ("a", "b-s2j", "b-hj") if n <= 5 else ("a",):
+            before = len(blocks)
+            run_filter(state, n, method)
+            layout = layout_for(n, method)
+            assert blocks[before:] == [(method, len(qs)) for _, qs in layout.registers]
+
+
+@pytest.mark.parametrize("register", [(3, 4), (5, 6)], ids=["on-support", "out-of-range"])
+def test_exact_qpe_rejects_a_bad_register_before_rotating(register):
+    spec = total_spin_phase_unitary(4, 2)
+    state = StateVector(np.concatenate([random_state(4, np.random.default_rng(155)).amplitudes,
+                                        np.zeros(48)]))
+    before = state.amplitudes.copy()
+    with pytest.raises(ValueError):
+        run_qpe(state, register, spec)
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_exact_qpe_applies_no_per_power_factor(monkeypatch):
+    calls = []
+    apply_matrix = statevector._apply_matrix
+
+    def spy_apply_matrix(amps, num_qubits, matrix, targets, *args):
+        kind = "dense" if not isinstance(matrix, tuple) else (
+            "real" if all(np.isrealobj(block) for _, block in matrix) else "complex")
+        calls.append((kind, tuple(targets)))
+        return apply_matrix(amps, num_qubits, matrix, targets, *args)
+
+    for module in (statevector, evolution):
+        monkeypatch.setattr(module, "_apply_matrix", spy_apply_matrix)
+    n = 10
+    layout = layout_for(n, "a")
+    state = random_state(n, np.random.default_rng(150))
+
+    def s_block():  # the z block's only call is its QFT
+        return [(kind, targets == layout.register("S")) for kind, targets in calls
+                if targets != layout.register("z")]
+
+    method_a_final_state(state, n)
+    # rotate in, the inverse QFT on the register, rotate out
+    assert s_block() == [("real", False), ("dense", True), ("real", False)]
+    calls.clear()
+    method_a_final_state(state, n, "trotter", 2)
+    # one fused factor per power, then the QFT
+    assert s_block() == [("complex", False)] * len(layout.register("S")) + [("dense", True)]
+
+
 def test_estimate_rejects_weight_above_the_populated_prefix():
     n = 3
     layout = layout_for(n, "b-hj")
@@ -836,7 +909,7 @@ def test_sequential_methods_run_no_dense_operator(monkeypatch):
         raise AssertionError("a dense operator was built for a sequential method")
 
     for module in (spin, evolution, filtering):
-        for name in ("eigen_blocks", "_exact_blocks", "eigen_oracle"):
+        for name in ("eigen_blocks", "_eigenbasis", "eigen_oracle"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     monkeypatch.setattr(TranspositionSum, "to_dense", refuse)
@@ -854,7 +927,7 @@ def test_trotter_mode_runs_no_eigensolver(monkeypatch):
 
     for module in (spin, evolution):
         monkeypatch.setattr(module, "eigen_blocks", refuse)
-    monkeypatch.setattr(evolution, "_exact_blocks", refuse)
+    monkeypatch.setattr(evolution, "_eigenbasis", refuse)
     monkeypatch.setattr(spin, "eigen_oracle", refuse)
     monkeypatch.setattr(TranspositionSum, "to_dense", refuse)
     monkeypatch.setattr(TranspositionSum, "dense_on_support", refuse)
